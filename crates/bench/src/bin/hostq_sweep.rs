@@ -10,14 +10,13 @@
 //!
 //! The tenant offers an open-loop Poisson overload (≈ 2x the engine's
 //! one-shot peak) of 1 MiB jobs over all 512 PIM cores, so serviced bytes
-//! per unit time measure *capacity*, not offered load. Per chunk size,
-//! every (depth, coalescing) cell runs twice — sweep continuation off
-//! (every chunk re-publishes its full address buffer) and on (a chunk
-//! staged behind its predecessor reloads the held sweep cursor at the
-//! packed-context price) — and reports goodput, its recovery ratio
-//! over the synchronous baseline, interrupts per job, and the observed
-//! in-flight ring depth; results land in `BENCH_hostq.json`
-//! (bit-identical across reruns of the same flags).
+//! per unit time measure *capacity*, not offered load. Each chunk after
+//! a job's first continues its predecessor's sweep (the held cursor is
+//! reloaded at the packed-context price). Every (chunk size, depth,
+//! coalescing) cell reports goodput, its recovery ratio over the
+//! synchronous baseline, interrupts per job, and the observed in-flight
+//! ring depth; results land in `BENCH_hostq.json` (bit-identical across
+//! reruns of the same flags).
 
 use pim_bench::json::{write_json, Json};
 use pim_runtime::{
@@ -76,18 +75,11 @@ struct Cell {
     chunk_kib: u64,
     depth: usize,
     coalesce: (u32, f64),
-    continuation: bool,
     goodput_gbps: f64,
     json: Json,
 }
 
-fn run_cell(
-    chunk_kib: u64,
-    depth: usize,
-    coalesce: (u32, f64),
-    continuation: bool,
-    args: &Args,
-) -> Cell {
+fn run_cell(chunk_kib: u64, depth: usize, coalesce: (u32, f64), args: &Args) -> Cell {
     let hostq = HostQueueConfig {
         depth,
         coalesce_count: coalesce.0,
@@ -99,7 +91,6 @@ fn run_cell(
         open_until_ns: args.horizon_ns,
         seed: args.seed,
         hostq,
-        sweep_continuation: continuation,
         ..RuntimeConfig::default()
     };
     let tenants = vec![TenantSpec::poisson("load", MEAN_NS, PER_CORE, CORES)];
@@ -123,7 +114,6 @@ fn run_cell(
         ("depth", Json::int(depth as u64)),
         ("coalesce_count", Json::int(coalesce.0 as u64)),
         ("coalesce_timeout_ns", Json::num(coalesce.1)),
-        ("continuation", Json::Bool(continuation)),
         ("goodput_gbps", Json::num(goodput)),
         ("jobs_completed", Json::int(stats.completed)),
         ("chunks_dispatched", Json::int(rt.chunks_dispatched())),
@@ -140,20 +130,14 @@ fn run_cell(
         ("backlog_at_horizon", Json::int(rt.backlog() as u64)),
     ]);
     println!(
-        "  chunk {chunk_kib:>4} KiB depth {depth:>2} coalesce {:>1}@{:>6} ns cont {}: \
+        "  chunk {chunk_kib:>4} KiB depth {depth:>2} coalesce {:>1}@{:>6} ns: \
          {goodput:>6.2} GB/s  irq/job {:>5.2}  inflight mean {:>4.2} max {}",
-        coalesce.0,
-        coalesce.1,
-        if continuation { "on " } else { "off" },
-        host.interrupts_per_job,
-        host.mean_in_flight,
-        host.max_in_flight
+        coalesce.0, coalesce.1, host.interrupts_per_job, host.mean_in_flight, host.max_in_flight
     );
     Cell {
         chunk_kib,
         depth,
         coalesce,
-        continuation,
         goodput_gbps: goodput,
         json,
     }
@@ -175,31 +159,22 @@ fn main() {
                 if depth == 1 && coalesce.0 > 1 {
                     continue;
                 }
-                for continuation in [false, true] {
-                    cells.push(run_cell(chunk_kib, depth, coalesce, continuation, &args));
-                }
+                cells.push(run_cell(chunk_kib, depth, coalesce, &args));
             }
         }
     }
 
-    // Capacity recovery per chunk size: every rebuild-path cell vs. the
-    // synchronous baseline (depth 1, coalescing off, continuation off —
-    // the historical grid, so recovery ratios stay comparable across
-    // bench revisions).
+    // Capacity recovery per chunk size: every cell vs. the synchronous
+    // baseline (depth 1, coalescing off).
     let mut recovery = Vec::new();
     let mut best_recovery_64k = 0.0f64;
     for &chunk_kib in &CHUNKS_KIB {
         let base = cells
             .iter()
-            .find(|c| {
-                c.chunk_kib == chunk_kib && c.depth == 1 && c.coalesce.0 == 1 && !c.continuation
-            })
+            .find(|c| c.chunk_kib == chunk_kib && c.depth == 1 && c.coalesce.0 == 1)
             .expect("baseline cell present")
             .goodput_gbps;
-        for c in cells
-            .iter()
-            .filter(|c| c.chunk_kib == chunk_kib && !c.continuation)
-        {
+        for c in cells.iter().filter(|c| c.chunk_kib == chunk_kib) {
             let ratio = if base > 0.0 {
                 c.goodput_gbps / base
             } else {
@@ -227,49 +202,6 @@ fn main() {
         }
     );
 
-    // Serving-aware PIM-MS: per (chunk, depth, coalesce) point, the
-    // goodput ratio of the continuation path over the rebuild path.
-    // Small chunks are where the full address-buffer re-publish
-    // dominates the round trip, so the headline is the 16 KiB
-    // deep-ring cell.
-    let mut continuation_gain = Vec::new();
-    let mut gain_16k_deep = 0.0f64;
-    for off in cells.iter().filter(|c| !c.continuation) {
-        let on = cells
-            .iter()
-            .find(|c| {
-                c.continuation
-                    && c.chunk_kib == off.chunk_kib
-                    && c.depth == off.depth
-                    && c.coalesce == off.coalesce
-            })
-            .expect("every cell runs both ways");
-        let ratio = if off.goodput_gbps > 0.0 {
-            on.goodput_gbps / off.goodput_gbps
-        } else {
-            0.0
-        };
-        if off.chunk_kib == 16 && off.depth == 8 && off.coalesce.0 == 1 {
-            gain_16k_deep = ratio;
-        }
-        continuation_gain.push(Json::obj([
-            ("chunk_kib", Json::int(off.chunk_kib)),
-            ("depth", Json::int(off.depth as u64)),
-            ("coalesce_count", Json::int(off.coalesce.0 as u64)),
-            ("rebuild_gbps", Json::num(off.goodput_gbps)),
-            ("continuation_gbps", Json::num(on.goodput_gbps)),
-            ("gain", Json::num(ratio)),
-        ]));
-    }
-    println!(
-        "continuation gain at 16 KiB chunks, depth 8: {gain_16k_deep:.2}x over the rebuild path{}",
-        if gain_16k_deep >= 1.15 {
-            " (>= 1.15x target met)"
-        } else {
-            " (below the 1.15x target!)"
-        }
-    );
-
     let doc = Json::obj([
         ("bench", Json::str("hostq_sweep")),
         ("design", Json::str("Base+D+H+P")),
@@ -281,13 +213,11 @@ fn main() {
             Json::num((PER_CORE * CORES as u64) as f64 / MEAN_NS),
         ),
         ("best_recovery_64k", Json::num(best_recovery_64k)),
-        ("continuation_gain_16k_deep", Json::num(gain_16k_deep)),
         (
             "runs",
             Json::Arr(cells.into_iter().map(|c| c.json).collect()),
         ),
         ("recovery", Json::Arr(recovery)),
-        ("continuation_gain", Json::Arr(continuation_gain)),
     ]);
     write_json(&args.out, &doc).expect("write results file");
     println!("wrote {}", args.out);

@@ -120,7 +120,8 @@ pub struct DceStats {
     /// draining).
     pub drain_cycles: u64,
     /// Chunk descriptors that continued their predecessor's channel
-    /// sweep ([`Dce::enqueue_continuation`] hits).
+    /// sweep (a [`Dce::enqueue`] naming a predecessor whose cursor was
+    /// still held).
     pub continuations: u64,
     /// Continuation descriptors whose predecessor cursor was gone or
     /// mismatched (suspended, reordered, different core set) — the
@@ -187,8 +188,8 @@ struct Job {
     /// Engine cycle execution began (of the newest fused segment).
     started_at: u64,
     /// Queued descriptors ([`Dce::enqueue`]) retire themselves into the
-    /// completion ring; one-shot submissions ([`Dce::submit`]) wait for
-    /// the host's explicit [`Dce::retire_job`].
+    /// completion ring; a one-shot submission ([`Dce::submit`]) stays
+    /// resident once complete so the host reads [`Dce::completed_at`].
     auto_retire: bool,
     /// Lines already credited by earlier retirement records — a
     /// resumed activation's partial record, or a fused segment's
@@ -208,12 +209,16 @@ struct Job {
 /// op or a suspended transfer being resumed in FIFO order.
 #[derive(Debug)]
 enum PendingDesc {
-    Fresh(PimMmuOp, DceMode),
+    /// A new descriptor. `predecessor` names the descriptor whose sweep
+    /// it continues: if that descriptor's cursor is still held when
+    /// this one installs, the schedule continues it instead of
+    /// rebuilding.
+    Fresh {
+        op: PimMmuOp,
+        mode: DceMode,
+        predecessor: Option<u64>,
+    },
     Resumed(SuspendedTransfer),
-    /// A chunk declaring its predecessor's sequence number: if that
-    /// descriptor's sweep cursor is still held when this one installs,
-    /// the schedule continues it instead of rebuilding.
-    Continuation(PimMmuOp, DceMode, u64),
 }
 
 /// The Data Copy Engine (Fig. 9/11).
@@ -245,7 +250,7 @@ pub struct Dce {
     suspended: VecDeque<(u64, SuspendedTransfer)>,
     /// The most recently retired queued descriptor's sweep cursor,
     /// keyed by its sequence number — the state a continuation chunk
-    /// ([`enqueue_continuation`](Self::enqueue_continuation)) picks up.
+    /// (an [`enqueue`](Self::enqueue) naming a predecessor) picks up.
     /// Overwritten at every full retirement; a suspension parks its
     /// cursor in `suspended` instead, so a continuation staged behind a
     /// recalled chunk finds no match and falls back to a fresh build.
@@ -296,13 +301,6 @@ impl Dce {
     /// Engine configuration.
     pub fn config(&self) -> &DceConfig {
         &self.cfg
-    }
-
-    /// The PIM address space this engine schedules against — the
-    /// host-side dispatcher reads per-core channel coordinates from it
-    /// to build channel-affinity footprints.
-    pub fn addr_space(&self) -> &PimAddrSpace {
-        &self.space
     }
 
     /// This engine's shard index (0 in a single-engine system).
@@ -363,8 +361,8 @@ impl Dce {
     /// Catch up over `cycles` skipped engine cycles — exactly equivalent
     /// to that many [`tick`](Self::tick)s while the engine has no active
     /// job and an empty pending ring (an idle tick only advances the
-    /// clock), or while the active job has completed and awaits host
-    /// retirement (a completed tick returns before touching the job).
+    /// clock), or while a completed one-shot job stays resident (a
+    /// completed tick returns before touching the job).
     pub fn skip_cycles(&mut self, cycles: u64) {
         self.clock += cycles;
     }
@@ -388,7 +386,14 @@ impl Dce {
             return Err(OpError::EngineBusy);
         }
         op.validate(self.cfg.addr_buffer_entries())?;
-        self.install(op, mode, false);
+        self.install(
+            PendingDesc::Fresh {
+                op,
+                mode,
+                predecessor: None,
+            },
+            false,
+        );
         Ok(())
     }
 
@@ -398,8 +403,21 @@ impl Dce {
     /// waits device-side and the engine transitions directly from the
     /// previous descriptor's retirement to this one — no host round trip
     /// between chunks. Retirement is automatic: the completion surfaces
-    /// through [`pop_completion`](Self::pop_completion) instead of
-    /// [`completed_at`](Self::completed_at)/[`retire_job`](Self::retire_job).
+    /// through [`pop_completion`](Self::pop_completion).
+    ///
+    /// `predecessor` declares the descriptor a chunk that *continues*
+    /// descriptor `predecessor`'s channel sweep (the serving-aware
+    /// PIM-MS path): when the predecessor retires in full, its live
+    /// [`PairScheduler`] — per-channel round-robin cursors and the
+    /// channel cursor — is held device-side, and this chunk re-installs
+    /// it advanced to its own byte range instead of rebuilding a
+    /// schedule from scratch. The continuation is best-effort: if the
+    /// predecessor's cursor is unavailable at install time (it was
+    /// suspended by a recall, a different descriptor retired in between,
+    /// the mode differs, or the chunk names a different core set) the
+    /// engine falls back to a fresh schedule — counted in
+    /// [`DceStats::continuation_fallbacks`] — and the transfer is
+    /// correct either way, merely unaided.
     ///
     /// The pending ring is unbounded here; the *host-side* queue pair
     /// (`pim-hostq`) enforces the ring depth.
@@ -409,59 +427,20 @@ impl Dce {
     /// Propagates descriptor validation failures, and rejects mixing
     /// with the synchronous path ([`OpError::EngineBusy`] while a
     /// [`submit`](Self::submit)-ted job is active): a one-shot job is
-    /// retired by the host, so nothing would ever pop a descriptor
-    /// queued behind it.
-    pub fn enqueue(&mut self, op: PimMmuOp, mode: DceMode) -> Result<(), OpError> {
-        op.validate(self.cfg.addr_buffer_entries())?;
-        if self.job.as_ref().is_some_and(|j| !j.auto_retire) {
-            return Err(OpError::EngineBusy);
-        }
-        if self.job.is_none() {
-            self.install(op, mode, true);
-        } else {
-            self.pending.push_back(PendingDesc::Fresh(op, mode));
-        }
-        Ok(())
-    }
-
-    /// Queue a chunk that *continues* descriptor `predecessor`'s channel
-    /// sweep (the serving-aware PIM-MS path): when the predecessor
-    /// retires in full, its live [`PairScheduler`] — per-channel
-    /// round-robin cursors and the channel cursor — is held device-side,
-    /// and this chunk re-installs it advanced to its own byte range
-    /// instead of rebuilding a schedule from scratch. Ordering and
-    /// retirement are exactly [`enqueue`](Self::enqueue)'s.
-    ///
-    /// The continuation is best-effort: if the predecessor's cursor is
-    /// unavailable at install time (it was suspended by a recall, a
-    /// different descriptor retired in between, the mode differs, or the
-    /// chunk names a different core set) the engine falls back to a
-    /// fresh schedule — counted in
-    /// [`DceStats::continuation_fallbacks`] — and the transfer is
-    /// correct either way, merely unaided.
-    ///
-    /// # Errors
-    ///
-    /// Propagates descriptor validation failures and rejects mixing
-    /// with the synchronous path ([`OpError::EngineBusy`]), exactly
-    /// like [`enqueue`](Self::enqueue).
-    pub fn enqueue_continuation(
+    /// never retired by the engine, so nothing would ever pop a
+    /// descriptor queued behind it.
+    pub fn enqueue(
         &mut self,
         op: PimMmuOp,
         mode: DceMode,
-        predecessor: u64,
+        predecessor: Option<u64>,
     ) -> Result<(), OpError> {
         op.validate(self.cfg.addr_buffer_entries())?;
-        if self.job.as_ref().is_some_and(|j| !j.auto_retire) {
-            return Err(OpError::EngineBusy);
-        }
-        if self.job.is_none() {
-            self.install_continuation(op, mode, predecessor);
-        } else {
-            self.pending
-                .push_back(PendingDesc::Continuation(op, mode, predecessor));
-        }
-        Ok(())
+        self.accept(PendingDesc::Fresh {
+            op,
+            mode,
+            predecessor,
+        })
     }
 
     /// Re-install a suspended transfer: the channel sweep continues from
@@ -475,138 +454,95 @@ impl Dce {
     /// # Errors
     ///
     /// [`OpError::EngineBusy`] while a [`submit`](Self::submit)-ted
-    /// (host-retired) job is active, exactly like `enqueue`.
+    /// one-shot job is resident, exactly like `enqueue`.
     pub fn resume(&mut self, st: SuspendedTransfer) -> Result<(), OpError> {
+        self.accept(PendingDesc::Resumed(st))
+    }
+
+    /// Start a queued descriptor on an idle engine, or park it on the
+    /// pending ring behind the active one.
+    fn accept(&mut self, desc: PendingDesc) -> Result<(), OpError> {
         if self.job.as_ref().is_some_and(|j| !j.auto_retire) {
             return Err(OpError::EngineBusy);
         }
         if self.job.is_none() {
-            self.install_resumed(st);
+            self.install(desc, true);
         } else {
-            self.pending.push_back(PendingDesc::Resumed(st));
+            self.pending.push_back(desc);
         }
         Ok(())
     }
 
     /// Load a validated descriptor into the engine; it starts scheduling
-    /// on the next engine cycle.
-    fn install(&mut self, op: PimMmuOp, mode: DceMode, auto_retire: bool) {
-        let sched = PairScheduler::new(&op, &self.space, mode);
-        let total = sched.total_lines();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.tap.record_at_cycle(
-            SpanEvent::new(SpanKind::DeviceStart, 0.0)
-                .seq(seq)
-                .bytes(total * LINE_BYTES),
+    /// on the next engine cycle. The sweep cursor comes from a resumed
+    /// transfer, from the held cursor of the predecessor a continuation
+    /// names, or from a fresh [`PairScheduler`].
+    fn install(&mut self, desc: PendingDesc, auto_retire: bool) {
+        let (kind, sched, lines_written, total) = match desc {
+            PendingDesc::Resumed(st) => {
+                self.stats.resumes += 1;
+                (st.kind, st.sched, st.lines_written, st.total)
+            }
+            PendingDesc::Fresh {
+                op,
+                mode,
+                predecessor,
+            } => {
+                let sched = predecessor
+                    .and_then(|pred| self.claim_held_cursor(pred, &op, mode))
+                    .unwrap_or_else(|| PairScheduler::new(&op, &self.space, mode));
+                let total = sched.total_lines();
+                (op.kind, sched, 0, total)
+            }
+        };
+        let seq = start_descriptor(
+            &mut self.next_seq,
+            &mut self.tap,
+            total - lines_written,
             self.clock,
         );
         self.job = Some(Job {
-            kind: op.kind,
+            kind,
             sched,
             transpose_q: VecDeque::new(),
             write_ready: VecDeque::new(),
             inflight_reads: HashMap::new(),
             inflight_writes: 0,
             buffer_used: 0,
-            lines_written: 0,
+            lines_written,
             total,
             completed_at: None,
             seq,
             started_at: self.clock,
             auto_retire,
-            base_lines: 0,
+            base_lines: lines_written,
             suspend_requested: false,
             segments: VecDeque::new(),
         });
     }
 
-    /// Load a suspended transfer back into the engine under a fresh
-    /// sequence number; its scheduler cursor and byte progress persist.
-    fn install_resumed(&mut self, st: SuspendedTransfer) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.stats.resumes += 1;
-        self.tap.record_at_cycle(
-            SpanEvent::new(SpanKind::DeviceStart, 0.0)
-                .seq(seq)
-                .bytes((st.total - st.lines_written) * LINE_BYTES),
-            self.clock,
-        );
-        self.job = Some(Job {
-            kind: st.kind,
-            sched: st.sched,
-            transpose_q: VecDeque::new(),
-            write_ready: VecDeque::new(),
-            inflight_reads: HashMap::new(),
-            inflight_writes: 0,
-            buffer_used: 0,
-            lines_written: st.lines_written,
-            total: st.total,
-            completed_at: None,
-            seq,
-            started_at: self.clock,
-            auto_retire: true,
-            base_lines: st.lines_written,
-            suspend_requested: false,
-            segments: VecDeque::new(),
-        });
-    }
-
-    /// Install a chunk continuing `predecessor`'s sweep if its cursor is
-    /// held and rebinds onto this chunk's core set; fresh build (and a
-    /// fallback count) otherwise.
-    fn install_continuation(&mut self, op: PimMmuOp, mode: DceMode, predecessor: u64) {
-        let mut continued = None;
+    /// The held sweep cursor re-armed onto `op`'s byte range, if it is
+    /// `predecessor`'s and matches `mode` and the core set; counts the
+    /// continuation or the fallback either way.
+    fn claim_held_cursor(
+        &mut self,
+        predecessor: u64,
+        op: &PimMmuOp,
+        mode: DceMode,
+    ) -> Option<PairScheduler> {
         // Taking the cursor unconditionally is right even on a miss: a
         // continuation names its *immediate* predecessor, so any other
         // held cursor is stale and can only go staler.
-        if let Some((seq, mut sched)) = self.held_cursor.take() {
-            if seq == predecessor && sched.mode() == mode && sched.continue_into(&op, &self.space) {
-                continued = Some(sched);
-            }
-        }
-        let Some(sched) = continued else {
-            self.stats.continuation_fallbacks += 1;
-            self.install(op, mode, true);
-            return;
-        };
-        self.stats.continuations += 1;
-        let total = sched.total_lines();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.tap.record_at_cycle(
-            SpanEvent::new(SpanKind::DeviceStart, 0.0)
-                .seq(seq)
-                .bytes(total * LINE_BYTES),
-            self.clock,
-        );
-        self.job = Some(Job {
-            kind: op.kind,
-            sched,
-            transpose_q: VecDeque::new(),
-            write_ready: VecDeque::new(),
-            inflight_reads: HashMap::new(),
-            inflight_writes: 0,
-            buffer_used: 0,
-            lines_written: 0,
-            total,
-            completed_at: None,
-            seq,
-            started_at: self.clock,
-            auto_retire: true,
-            base_lines: 0,
-            suspend_requested: false,
-            segments: VecDeque::new(),
+        let continued = self.held_cursor.take().and_then(|(seq, mut sched)| {
+            (seq == predecessor && sched.mode() == mode && sched.continue_into(op, &self.space))
+                .then_some(sched)
         });
-    }
-
-    fn install_pending(&mut self, desc: PendingDesc) {
-        match desc {
-            PendingDesc::Fresh(op, mode) => self.install(op, mode, true),
-            PendingDesc::Resumed(st) => self.install_resumed(st),
-            PendingDesc::Continuation(op, mode, pred) => self.install_continuation(op, mode, pred),
+        if continued.is_some() {
+            self.stats.continuations += 1;
+        } else {
+            self.stats.continuation_fallbacks += 1;
         }
+        continued
     }
 
     /// Oldest un-drained completion of a queued descriptor, if any.
@@ -627,7 +563,7 @@ impl Dce {
     /// request is absorbed.
     ///
     /// Returns `true` if a suspension was armed; `false` when the
-    /// engine is idle, the active job is a host-retired
+    /// engine is idle, the active job is a one-shot
     /// [`submit`](Self::submit) (the synchronous path has no completion
     /// ring to carry the partial record), the job has already
     /// completed, or a suspension is already pending.
@@ -689,20 +625,6 @@ impl Dce {
         usize::from(self.job.is_some()) + self.pending.len()
     }
 
-    /// Clear a finished job (after the driver has taken the interrupt).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job has not completed.
-    pub fn retire_job(&mut self) {
-        let job = self.job.take().expect("no job to retire");
-        assert!(
-            job.completed_at.is_some(),
-            "retire_job called on an unfinished transfer"
-        );
-        self.stats.jobs_done += 1;
-    }
-
     /// Advance one engine cycle.
     pub fn tick(&mut self) {
         let now = self.clock;
@@ -750,41 +672,34 @@ impl Dce {
         // record is emitted once its lines land (below); a shape
         // mismatch leaves the descriptor for the ordinary retirement
         // path, which falls back to a fresh build.
-        if job.auto_retire
+        let fuses = job.auto_retire
             && !job.suspend_requested
             && job.sched.remaining() == 0
-            && matches!(
-                self.pending.front(),
-                Some(PendingDesc::Continuation(_, mode, pred))
-                    if *pred == job.seq && *mode == job.sched.mode()
-            )
-        {
-            let Some(PendingDesc::Continuation(op, mode, pred)) = self.pending.pop_front() else {
-                unreachable!("front matched a continuation above");
+            && match self.pending.front() {
+                Some(PendingDesc::Fresh {
+                    op,
+                    mode,
+                    predecessor: Some(pred),
+                }) => {
+                    *pred == job.seq
+                        && *mode == job.sched.mode()
+                        && job.sched.continue_into(op, &self.space)
+                }
+                _ => false,
             };
-            if job.sched.continue_into(&op, &self.space) {
-                self.stats.continuations += 1;
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                let added = job.sched.total_lines();
-                self.tap.record_at_cycle(
-                    SpanEvent::new(SpanKind::DeviceStart, 0.0)
-                        .seq(seq)
-                        .bytes(added * LINE_BYTES),
-                    now,
-                );
-                job.segments.push_back(SegBoundary {
-                    seq: job.seq,
-                    end_lines: job.total,
-                    started_at: job.started_at,
-                });
-                job.seq = seq;
-                job.started_at = now;
-                job.total += added;
-            } else {
-                self.pending
-                    .push_front(PendingDesc::Continuation(op, mode, pred));
-            }
+        if fuses {
+            self.pending.pop_front();
+            self.stats.continuations += 1;
+            let added = job.sched.total_lines();
+            let seq = start_descriptor(&mut self.next_seq, &mut self.tap, added, now);
+            job.segments.push_back(SegBoundary {
+                seq: job.seq,
+                end_lines: job.total,
+                started_at: job.started_at,
+            });
+            job.seq = seq;
+            job.started_at = now;
+            job.total += added;
         }
 
         // (1)-(3) Issue reads while the data buffer has room. A pending
@@ -891,7 +806,7 @@ impl Dce {
             if let Some(desc) = self.pending.pop_front() {
                 // `clock` is already `now + 1`: the successor's first
                 // busy cycle is the very next engine cycle.
-                self.install_pending(desc);
+                self.install(desc, true);
             }
         } else if job.suspend_requested && pipeline_empty {
             // Quiesced mid-transfer: partial retirement. The record
@@ -935,7 +850,7 @@ impl Dce {
             ));
             self.stats.suspensions += 1;
             if let Some(desc) = self.pending.pop_front() {
-                self.install_pending(desc);
+                self.install(desc, true);
             }
         }
     }
@@ -959,6 +874,21 @@ impl Dce {
     pub fn active_kind(&self) -> Option<XferKind> {
         self.job.as_ref().map(|j| j.kind)
     }
+}
+
+/// Allocate the next descriptor sequence number and record its
+/// device-start span: `lines` still to move, starting at engine cycle
+/// `cycle`. Shared by every install and by the mid-tick fusion.
+fn start_descriptor(next_seq: &mut u64, tap: &mut SpanTap, lines: u64, cycle: u64) -> u64 {
+    let seq = *next_seq;
+    *next_seq += 1;
+    tap.record_at_cycle(
+        SpanEvent::new(SpanKind::DeviceStart, 0.0)
+            .seq(seq)
+            .bytes(lines * LINE_BYTES),
+        cycle,
+    );
+    seq
 }
 
 #[cfg(test)]
@@ -1016,9 +946,6 @@ mod tests {
         assert_eq!(dce.stats().reads_issued, total);
         assert_eq!(dce.stats().writes_issued, total);
         assert_eq!(dce.stats().lines_done, total);
-        dce.retire_job();
-        assert!(!dce.busy());
-        assert_eq!(dce.stats().jobs_done, 1);
     }
 
     #[test]
@@ -1175,7 +1102,7 @@ mod tests {
                 4096,
                 k * 4096,
             );
-            dce.enqueue(op, DceMode::PimMs).unwrap();
+            dce.enqueue(op, DceMode::PimMs, None).unwrap();
         }
         assert_eq!(dce.occupancy(), 3);
         assert_eq!(dce.pending_descriptors(), 2);
@@ -1235,7 +1162,7 @@ mod tests {
             0,
         );
         a.submit(op.clone(), DceMode::PimMs).unwrap();
-        b.enqueue(op, DceMode::PimMs).unwrap();
+        b.enqueue(op, DceMode::PimMs, None).unwrap();
         let done_a = run_to_completion(&mut a, 20, 1_000_000);
         // The queued path retires itself; run until the record appears.
         let mut pending: VecDeque<(u64, Completion)> = VecDeque::new();
@@ -1276,15 +1203,18 @@ mod tests {
     fn submit_rejects_while_descriptors_are_queued() {
         let mut dce = setup();
         let op = PimMmuOp::to_pim([(PhysAddr(0), 0)], 64, 0);
-        dce.enqueue(op.clone(), DceMode::PimMs).unwrap();
-        dce.enqueue(op.clone(), DceMode::PimMs).unwrap();
+        dce.enqueue(op.clone(), DceMode::PimMs, None).unwrap();
+        dce.enqueue(op.clone(), DceMode::PimMs, None).unwrap();
         assert_eq!(
             dce.submit(op.clone(), DceMode::PimMs),
             Err(OpError::EngineBusy)
         );
         // Invalid descriptors are rejected by enqueue too.
         let bad = PimMmuOp::to_pim([(PhysAddr(0), 0)], 0, 0);
-        assert_eq!(dce.enqueue(bad, DceMode::PimMs), Err(OpError::BadSize(0)));
+        assert_eq!(
+            dce.enqueue(bad, DceMode::PimMs, None),
+            Err(OpError::BadSize(0))
+        );
         assert_eq!(dce.occupancy(), 2);
     }
 
@@ -1296,17 +1226,11 @@ mod tests {
         let mut dce = setup();
         let op = PimMmuOp::to_pim([(PhysAddr(0), 0)], 64, 0);
         dce.submit(op.clone(), DceMode::PimMs).unwrap();
-        assert_eq!(dce.enqueue(op, DceMode::PimMs), Err(OpError::EngineBusy));
+        assert_eq!(
+            dce.enqueue(op, DceMode::PimMs, None),
+            Err(OpError::EngineBusy)
+        );
         assert_eq!(dce.pending_descriptors(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unfinished")]
-    fn cannot_retire_running_job() {
-        let mut dce = setup();
-        dce.submit(PimMmuOp::to_pim([(PhysAddr(0), 0)], 64, 0), DceMode::PimMs)
-            .unwrap();
-        dce.retire_job();
     }
 
     /// A perfect-memory drive loop that also honors a one-shot
@@ -1362,7 +1286,7 @@ mod tests {
             0,
         );
         let total_bytes = op.total_bytes();
-        dce.enqueue(op, DceMode::PimMs).unwrap();
+        dce.enqueue(op, DceMode::PimMs, None).unwrap();
         let recs = drive_until_records(&mut dce, 10, 1_000_000, 1, Some(40));
         assert_eq!(recs.len(), 1);
         let partial = recs[0];
@@ -1406,12 +1330,11 @@ mod tests {
         assert!(chunks.len() > 2, "need several chunks to chain");
         for (i, c) in chunks.iter().enumerate() {
             if i == 0 {
-                dce.enqueue(c.clone(), DceMode::PimMs).unwrap();
+                dce.enqueue(c.clone(), DceMode::PimMs, None).unwrap();
             } else {
                 // FIFO install order: chunk i's predecessor got seq i-1.
                 let pred = u64::try_from(i).unwrap() - 1;
-                dce.enqueue_continuation(c.clone(), DceMode::PimMs, pred)
-                    .unwrap();
+                dce.enqueue(c.clone(), DceMode::PimMs, Some(pred)).unwrap();
             }
         }
         let recs = drive_until_records(&mut dce, 10, 1_000_000, chunks.len(), None);
@@ -1457,8 +1380,9 @@ mod tests {
         );
         let chunks = op.chunks(64 << 10, 4096).unwrap();
         assert_eq!(chunks.len(), 2);
-        dce.enqueue(chunks[0].clone(), DceMode::PimMs).unwrap();
-        dce.enqueue_continuation(chunks[1].clone(), DceMode::PimMs, 0)
+        dce.enqueue(chunks[0].clone(), DceMode::PimMs, None)
+            .unwrap();
+        dce.enqueue(chunks[1].clone(), DceMode::PimMs, Some(0))
             .unwrap();
         // Recall chunk 0 mid-transfer: its cursor is parked for the
         // host, not held for the continuation, which must rebuild.
@@ -1483,6 +1407,39 @@ mod tests {
     }
 
     #[test]
+    fn continuation_naming_the_wrong_predecessor_or_mode_rebuilds() {
+        // The held cursor is keyed by seq and mode: a chunk naming any
+        // other predecessor, or switching mode, must neither fuse nor
+        // take the cursor — it rebuilds, counts one fallback, and the
+        // job still moves every byte exactly once.
+        let op = PimMmuOp::to_pim(
+            (0..16).map(|i| (PhysAddr(i * 8192), u32::try_from(i).unwrap())),
+            8192,
+            0,
+        );
+        let chunks = op.chunks(64 << 10, 4096).unwrap();
+        assert_eq!(chunks.len(), 2);
+        for (pred, mode) in [(7, DceMode::PimMs), (0, DceMode::Coarse)] {
+            let mut dce = setup();
+            dce.enqueue(chunks[0].clone(), DceMode::PimMs, None)
+                .unwrap();
+            dce.enqueue(chunks[1].clone(), mode, Some(pred)).unwrap();
+            let recs = drive_until_records(&mut dce, 10, 1_000_000, 2, None);
+            assert_eq!(recs.len(), 2, "{mode:?}");
+            assert_eq!(dce.stats().continuations, 0, "{mode:?}");
+            assert_eq!(dce.stats().continuation_fallbacks, 1, "{mode:?}");
+            assert_eq!(
+                recs.iter().map(|r| r.bytes).sum::<u64>(),
+                op.total_bytes(),
+                "{mode:?}"
+            );
+            let lines = op.total_bytes() / 64;
+            assert_eq!(dce.stats().reads_issued, lines, "{mode:?}");
+            assert_eq!(dce.stats().lines_done, lines, "{mode:?}");
+        }
+    }
+
+    #[test]
     fn continuation_on_an_idle_engine_picks_up_the_held_cursor() {
         // The host-round-trip shape: the predecessor retires, the ring
         // drains, and only then is the next chunk dispatched. The
@@ -1496,10 +1453,11 @@ mod tests {
         );
         let chunks = op.chunks(16 << 10, 4096).unwrap();
         assert!(chunks.len() >= 2);
-        dce.enqueue(chunks[0].clone(), DceMode::PimMs).unwrap();
+        dce.enqueue(chunks[0].clone(), DceMode::PimMs, None)
+            .unwrap();
         let recs = drive_until_records(&mut dce, 10, 1_000_000, 1, None);
         assert!(!dce.busy(), "engine idle between chunks");
-        dce.enqueue_continuation(chunks[1].clone(), DceMode::PimMs, recs[0].seq)
+        dce.enqueue(chunks[1].clone(), DceMode::PimMs, Some(recs[0].seq))
             .unwrap();
         let recs2 = drive_until_records(&mut dce, 10, 1_000_000, 1, None);
         assert_eq!(recs2.len(), 1);
@@ -1528,8 +1486,8 @@ mod tests {
             0,
         );
         let small = PimMmuOp::to_pim([(PhysAddr(1 << 24), 100)], 128, 0);
-        dce.enqueue(big, DceMode::PimMs).unwrap();
-        dce.enqueue(small, DceMode::PimMs).unwrap();
+        dce.enqueue(big, DceMode::PimMs, None).unwrap();
+        dce.enqueue(small, DceMode::PimMs, None).unwrap();
         let recs = drive_until_records(&mut dce, 10, 1_000_000, 2, Some(20));
         assert_eq!(recs.len(), 2);
         assert!(recs[0].resumable, "big job suspended first");

@@ -65,7 +65,7 @@ fn run_with_suspends(
     latency: u64,
     suspend_at: &[u64],
 ) -> RunTrace {
-    dce.enqueue(op, mode).unwrap();
+    dce.enqueue(op, mode, None).unwrap();
     let mut pending: VecDeque<(u64, Completion)> = VecDeque::new();
     let mut trace = RunTrace {
         reads: Vec::new(),

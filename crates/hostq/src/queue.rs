@@ -35,22 +35,16 @@ pub struct Descriptor {
     /// the host price the doorbell as a context reload instead of a
     /// full address-buffer publish.
     pub predecessor: Option<u64>,
-    /// Bit `c` set when the descriptor's transfer sweeps PIM channel
-    /// `c` — the footprint a channel-affinity placement reads to keep
-    /// co-scheduled chunks on one shard off each other's channels.
-    /// Zero when the dispatcher doesn't track affinity.
-    pub channel_mask: u64,
 }
 
 impl Descriptor {
-    /// An ordinary descriptor: no predecessor, no channel footprint.
+    /// An ordinary descriptor: no predecessor.
     pub fn new(tag: DescriptorTag, entries: usize, bytes: u64) -> Self {
         Descriptor {
             tag,
             entries,
             bytes,
             predecessor: None,
-            channel_mask: 0,
         }
     }
 
@@ -58,13 +52,6 @@ impl Descriptor {
     #[must_use]
     pub fn continuation_of(mut self, seq: u64) -> Self {
         self.predecessor = Some(seq);
-        self
-    }
-
-    /// Attach the PIM-channel footprint of the descriptor's sweep.
-    #[must_use]
-    pub fn with_channel_mask(mut self, mask: u64) -> Self {
-        self.channel_mask = mask;
         self
     }
 }
@@ -424,17 +411,6 @@ impl QueuePair {
         self.next_seq
     }
 
-    /// OR of the channel masks of every descriptor staged or in flight
-    /// — the set of PIM channels this shard's accepted work is (or will
-    /// shortly be) sweeping. Completed-but-unfielded descriptors are
-    /// excluded: their sweeps are done.
-    pub fn channel_footprint(&self) -> u64 {
-        self.staged
-            .iter()
-            .chain(self.sq.iter())
-            .fold(0, |m, p| m | p.desc.channel_mask)
-    }
-
     /// The oldest posted-and-unretired descriptor — the one the engine
     /// is executing (or about to). A preemption layer reads its tag to
     /// decide whether the in-service work should be kicked.
@@ -515,26 +491,13 @@ mod tests {
     fn continuation_metadata_rides_the_ring() {
         let mut qp = QueuePair::new(HostQueueConfig::with_depth(4));
         assert_eq!(qp.peek_seq(), 0);
-        qp.stage(desc(64).with_channel_mask(0b0011), 0.0, 0)
-            .unwrap();
+        qp.stage(desc(64), 0.0, 0).unwrap();
         assert_eq!(qp.peek_seq(), 1);
-        let d = desc(64).continuation_of(0).with_channel_mask(0b0100);
-        let seq = qp.stage(d, 0.0, 0).unwrap();
+        let seq = qp.stage(desc(64).continuation_of(0), 0.0, 0).unwrap();
         assert_eq!(seq, 1);
-        assert_eq!(qp.channel_footprint(), 0b0111, "staged masks OR together");
         qp.ring_doorbell(&DriverModel::default());
-        assert_eq!(
-            qp.channel_footprint(),
-            0b0111,
-            "in-flight masks still count"
-        );
         qp.on_device_completion(0, 0, 10, 3.125, 64, false);
         qp.on_device_completion(1, 11, 20, 6.25, 64, false);
-        assert_eq!(
-            qp.channel_footprint(),
-            0,
-            "completed sweeps leave the footprint"
-        );
         let batch = qp.field_interrupt(6.25);
         assert_eq!(batch[0].posted.desc.predecessor, None);
         assert_eq!(batch[1].posted.desc.predecessor, Some(0));

@@ -24,20 +24,23 @@
 //!   with no host round trip between chunks).
 //!
 //! With the identity host-queue configuration (depth 1, coalescing
-//! off — the default) this is exactly the paper's synchronous
-//! `pim_mmu_transfer` handshake: the same submit-then-run ordering and
-//! driver accounting as the one-shot harness, which is what makes a
-//! single-tenant FCFS run reproduce `pim_sim::run_transfer` bit for
-//! bit (pinned by `tests/serving_runtime.rs` and the golden regression
-//! in `tests/hostq_regression.rs`).
+//! off — the default) a single-chunk job follows exactly the paper's
+//! synchronous `pim_mmu_transfer` handshake: the same submit-then-run
+//! ordering and driver accounting as the one-shot harness, which is
+//! what makes a single-tenant FCFS run reproduce
+//! `pim_sim::run_transfer` bit for bit (pinned by
+//! `tests/serving_runtime.rs` and the golden regression in
+//! `tests/hostq_regression.rs`). A job's later chunks continue their
+//! predecessor's channel sweep and are priced as context reloads
+//! ([`DriverModel::continuation_entries`]).
 
 use crate::arrival::{ArrivalGen, ArrivalProcess, JobSizer, Rng};
 use crate::job::{ChunkAnchor, Job, JobRecord, JobSpec};
 use crate::metrics::{jain_index, jain_satisfaction, HostIfaceStats, TenantStats};
 use crate::policy::{HeadView, QueuePolicy, QueueView};
 use pim_hostq::{Descriptor, DescriptorTag, HostQueueConfig, QueuePairSet};
-use pim_mapping::{PhysAddr, PimAddrSpace};
-use pim_mmu::{Dce, DceMode, DriverModel, PimMmuOp, SuspendedTransfer, XferKind};
+use pim_mapping::PhysAddr;
+use pim_mmu::{Dce, DceMode, DriverModel, SuspendedTransfer, XferKind};
 use pim_sim::{
     ticks_to_ns, Clock, Output, StatsSnapshot, Tickable, HOST_BUFFER_BASE, TICKS_PER_NS,
 };
@@ -246,23 +249,6 @@ pub struct RuntimeConfig {
     /// time-series sampler cadence. Disabled by default — the goldens
     /// and every historical configuration are unperturbed.
     pub telemetry: TelemetryConfig,
-    /// Serving-aware PIM-MS: when a job's next fresh chunk is staged
-    /// directly behind its predecessor on the same ring (seq exactly
-    /// one past, same core set), declare it a continuation — the engine
-    /// hands the retired chunk's channel-sweep cursor straight to it
-    /// and the driver prices the doorbell as a context reload
-    /// ([`DriverModel::continuation_entries`]) instead of a full
-    /// address-buffer publish. Off by default: with the flag off every
-    /// chunk rebuilds its schedule, bit-identical to the historical
-    /// dispatch path (the golden anchor).
-    pub sweep_continuation: bool,
-    /// Cross-job channel-affinity hint for
-    /// [`Placement::LeastLoaded`]: each staged descriptor carries its
-    /// sweep's PIM-channel footprint, and occupancy ties between
-    /// eligible shards break toward the ring whose outstanding work
-    /// overlaps the fewest of the chunk's channels. Off by default (no
-    /// footprints tracked, placement unchanged).
-    pub channel_affinity: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -283,8 +269,6 @@ impl Default for RuntimeConfig {
             preemption: Preemption::Off,
             core_stride: 0,
             telemetry: TelemetryConfig::default(),
-            sweep_continuation: false,
-            channel_affinity: false,
         }
     }
 }
@@ -347,9 +331,6 @@ pub struct Runtime {
     /// rebuild is the engine's call — see `DceStats::continuations` /
     /// `continuation_fallbacks`.
     continuations_staged: u64,
-    /// Occupancy-tied placement decisions the channel-affinity hint
-    /// steered away from the plain lowest-shard-id tie-break.
-    affinity_steers: u64,
 }
 
 impl Runtime {
@@ -422,7 +403,6 @@ impl Runtime {
             recorder: FlightRecorder::new(cfg.telemetry),
             serviced_by_shard: vec![0; cfg.shards],
             continuations_staged: 0,
-            affinity_steers: 0,
         }
     }
 
@@ -497,18 +477,11 @@ impl Runtime {
         self.chunks_dispatched
     }
 
-    /// Fresh chunks staged as sweep continuations of their predecessor
-    /// (0 unless [`RuntimeConfig::sweep_continuation`] is on). The
-    /// engine-side honored/fallback split is on each shard's
+    /// Fresh chunks staged as sweep continuations of their predecessor.
+    /// The engine-side honored/fallback split is on each shard's
     /// `DceStats`.
     pub fn continuations_staged(&self) -> u64 {
         self.continuations_staged
-    }
-
-    /// Occupancy-tied placements the channel-affinity hint steered (0
-    /// unless [`RuntimeConfig::channel_affinity`] is on).
-    pub fn affinity_steers(&self) -> u64 {
-        self.affinity_steers
     }
 
     /// Dispatch opportunities with backlog where the policy declined —
@@ -969,12 +942,6 @@ impl Runtime {
         }
     }
 
-    /// Single-shard alias of [`poll_shard`](Self::poll_shard) (shard 0),
-    /// kept for standalone harnesses driving one engine.
-    pub fn poll(&mut self, dce: &mut Dce, now_ns: f64) {
-        self.poll_shard(0, dce, now_ns);
-    }
-
     /// The shard-aware submission path, called at every decision-clock
     /// edge with the whole engine array (after the shard polls when the
     /// edges coincide, before the engines' own ticks): while rings have
@@ -1266,7 +1233,7 @@ impl Runtime {
     /// staged work rings its own doorbell once at the end of the edge.
     fn dispatch_least_loaded(&mut self, dces: &mut [Dce], now_ns: f64) {
         let mut staged = vec![false; self.cfg.shards];
-        while let Some(mut target) = self.qps.shallowest(|s| now_ns >= self.driver_ready_ns[s]) {
+        while let Some(target) = self.qps.shallowest(|s| now_ns >= self.driver_ready_ns[s]) {
             let views = self.views(None);
             if !views.iter().any(|v| v.head.is_some()) {
                 break;
@@ -1275,14 +1242,6 @@ impl Runtime {
                 self.missed_dispatches += 1;
                 break;
             };
-            if self.cfg.channel_affinity {
-                if let Some(steered) = self.affinity_target(pick, dces[0].addr_space(), now_ns) {
-                    if steered != target {
-                        self.affinity_steers += 1;
-                    }
-                    target = steered;
-                }
-            }
             self.stage_chunk(pick, target, &mut dces[target], now_ns);
             staged[target] = true;
         }
@@ -1293,42 +1252,12 @@ impl Runtime {
         }
     }
 
-    /// The channel-affinity placement for tenant `pick`'s next fresh
-    /// chunk: over the eligible shards (driver free, ring not full),
-    /// occupancy stays the primary key — the hint only redirects
-    /// occupancy *ties*, toward the ring whose outstanding channel
-    /// footprint overlaps the fewest of the chunk's channels, with the
-    /// shard id as the final deterministic tie-break. Returns `None`
-    /// when the next dispatch is a resume (its footprint lives in the
-    /// suspended cursor, not a pending chunk) — the caller keeps the
-    /// plain shallowest target.
-    fn affinity_target(&self, pick: usize, space: &PimAddrSpace, now_ns: f64) -> Option<usize> {
-        let job = self.tenants[pick]
-            .queue
-            .iter()
-            .find(|j| j.has_dispatchable())?;
-        if !job.resume.is_empty() {
-            return None;
-        }
-        let mask = chunk_channel_mask(job.chunks.front()?, space);
-        (0..self.cfg.shards)
-            .filter(|&s| now_ns >= self.driver_ready_ns[s] && self.qps.shard(s).free_slots() > 0)
-            .min_by_key(|&s| {
-                (
-                    self.qps.shard(s).occupancy(),
-                    (mask & self.qps.shard(s).channel_footprint()).count_ones(),
-                    s,
-                )
-            })
-    }
-
     /// Pop the picked tenant's next unit of work — a recalled remainder
     /// first, else the next fresh chunk — stage its descriptor on
-    /// `shard`'s ring and hand it to that shard's engine. With
-    /// [`RuntimeConfig::sweep_continuation`] on, a fresh chunk landing
-    /// directly behind its job's previous chunk on the same ring (seq
-    /// exactly one past the anchor, identical core set) is declared a
-    /// continuation: the engine chains the predecessor's held sweep
+    /// `shard`'s ring and hand it to that shard's engine. A fresh chunk
+    /// landing directly behind its job's previous chunk on the same ring
+    /// (seq exactly one past the anchor, identical core set) is declared
+    /// a continuation: the engine chains the predecessor's held sweep
     /// cursor into it and the descriptor's priced entries shrink to the
     /// context-reload footprint.
     fn stage_chunk(&mut self, pick: usize, shard: usize, dce: &mut Dce, now_ns: f64) {
@@ -1346,10 +1275,9 @@ impl Runtime {
         }
         let job_id = job.id;
         let resumed = !job.resume.is_empty();
-        // Set for a fresh chunk: its core span (the next anchor), its
-        // channel footprint, and the predecessor seq when it continues.
+        // Set for a fresh chunk: its core span (the next anchor) and the
+        // predecessor seq when it continues.
         let mut fresh_span = None;
-        let mut mask = 0u64;
         let mut continues = None;
         let (bytes, entries) = if let Some((st, recalled_at)) = job.resume.pop_front() {
             // Resume the preempted chunk: the engine continues the
@@ -1371,25 +1299,20 @@ impl Runtime {
             let full_entries = chunk.entries.len();
             let first_core = chunk.entries[0].1;
             fresh_span = Some((first_core, full_entries));
-            if self.cfg.channel_affinity {
-                mask = chunk_channel_mask(&chunk, dce.addr_space());
-            }
-            let claim = self.cfg.sweep_continuation
-                && job.anchor.is_some_and(|a| {
+            continues = job
+                .anchor
+                .filter(|a| {
                     a.shard == shard
                         && a.seq + 1 == next_seq
                         && a.first_core == first_core
                         && a.n_entries == full_entries
-                });
-            let entries = if claim {
-                let pred = job.anchor.expect("claim requires an anchor").seq;
-                continues = Some(pred);
-                dce.enqueue_continuation(chunk, self.cfg.mode, pred)
-                    .expect("chunk validated at job construction");
+                })
+                .map(|a| a.seq);
+            dce.enqueue(chunk, self.cfg.mode, continues)
+                .expect("chunk validated at job construction");
+            let entries = if continues.is_some() {
                 self.cfg.driver.continuation_entries(full_entries)
             } else {
-                dce.enqueue(chunk, self.cfg.mode)
-                    .expect("chunk validated at job construction");
                 full_entries
             };
             (bytes, entries)
@@ -1401,8 +1324,7 @@ impl Runtime {
             },
             entries,
             bytes,
-        )
-        .with_channel_mask(mask);
+        );
         if let Some(pred) = continues {
             desc = desc.continuation_of(pred);
             self.continuations_staged += 1;
@@ -1456,33 +1378,6 @@ impl Runtime {
         self.recorder
             .record(SpanEvent::new(SpanKind::Doorbell, now_ns).shard(shard));
     }
-
-    /// One host-interface service round at a decision-clock edge:
-    /// [`poll`](Self::poll) then [`dispatch`](Self::dispatch). Call once
-    /// per edge, after [`tick`](Tickable::tick) and before the engine's
-    /// own tick. (The serving composer calls the two halves at their own
-    /// clock domains instead; with the default configuration the edges
-    /// coincide and the ordering is identical.) Single-shard runtimes
-    /// only — a sharded composer drives each shard's poll and a whole-
-    /// array dispatch itself.
-    pub fn drive(&mut self, dce: &mut Dce, now_ns: f64) {
-        assert_eq!(
-            self.cfg.shards, 1,
-            "drive() is the single-shard convenience path"
-        );
-        self.poll_shard(0, dce, now_ns);
-        self.dispatch(std::slice::from_mut(dce), now_ns);
-    }
-}
-
-/// Bit `c` set for every PIM channel `c` the chunk's entries sweep
-/// (channels at or above 64 saturate into bit 63 — real machines have
-/// far fewer, so the footprint stays exact in practice).
-fn chunk_channel_mask(op: &PimMmuOp, space: &PimAddrSpace) -> u64 {
-    op.entries.iter().fold(0u64, |m, &(_, core)| {
-        let (ch, _, _, _) = space.core_coords(core);
-        m | (1u64 << ch.min(63))
-    })
 }
 
 impl Tickable for Runtime {
@@ -1506,7 +1401,7 @@ impl Tickable for Runtime {
 
     fn drain_outputs(&mut self, _sink: &mut dyn FnMut(Output) -> bool) {
         // The runtime issues no memory traffic of its own; it feeds the
-        // DCE through `drive`.
+        // engines through `poll_shard` and `dispatch`.
     }
 
     fn stats_snapshot(&self) -> StatsSnapshot {

@@ -68,7 +68,8 @@ fn e2e_of_one_job(driver: DriverModel, per_core_bytes: u64, chunk_bytes: u64) ->
     for cycle in 0..40_000_000u64 {
         Tickable::tick(&mut rt);
         let now_ns = rt.now_ns();
-        rt.drive(&mut dce, now_ns);
+        rt.poll_shard(0, &mut dce, now_ns);
+        rt.dispatch(std::slice::from_mut(&mut dce), now_ns);
         dce.tick();
         while let Some(r) = dce.outbox_mut().pop_front() {
             pending.push_back((
@@ -177,15 +178,18 @@ fn two_synchronous_chunks_charge_submit_once_and_interrupt_per_chunk() {
 /// fielded mid-window used to overwrite `driver_ready_ns` backwards
 /// (`now + interrupt_ns` < the doorbell's own busy horizon), letting
 /// the next doorbell ring while the driver was still busy with the
-/// previous MMIO write. `poll` must take the max of the two horizons.
+/// previous MMIO write. `poll_shard` must take the max of the two
+/// horizons.
 #[test]
 fn interrupt_fielding_cannot_shorten_the_doorbell_busy_window() {
     // 16 cores x 2 KiB at a 512 B chunk budget -> 32 chunks of 16
     // entries (one 64 B line per core each); an 8-deep ring stages the
-    // first 8 in one batch. Per-entry MMIO dominates: that batch's
-    // doorbell costs 100 + 128 x 500 = 64 100 ns, while the engine
-    // retires a 1 KiB chunk (and its 50 ns interrupt) within a few
-    // hundred ns.
+    // first 8 in one batch. The first chunk publishes its 16 entries
+    // and the 7 behind it continue its sweep, each priced as one
+    // packed context word. Per-entry MMIO dominates: that batch's
+    // doorbell costs 100 + (16 + 7) x 500 = 11 600 ns, while the
+    // engine retires the batch's 8 KiB (and its 50 ns tail interrupt)
+    // within a few microseconds.
     let driver = DriverModel {
         submit_fixed_ns: 100.0,
         submit_per_entry_ns: 500.0,
@@ -218,7 +222,8 @@ fn interrupt_fielding_cannot_shorten_the_doorbell_busy_window() {
     for cycle in 0..40_000_000u64 {
         Tickable::tick(&mut rt);
         let now_ns = rt.now_ns();
-        rt.drive(&mut dce, now_ns);
+        rt.poll_shard(0, &mut dce, now_ns);
+        rt.dispatch(std::slice::from_mut(&mut dce), now_ns);
         let db = rt.host_stats().doorbells;
         if db > doorbells_seen {
             doorbells_seen = db;
@@ -250,9 +255,10 @@ fn interrupt_fielding_cannot_shorten_the_doorbell_busy_window() {
         "the 32-chunk job must need more than one 8-deep batch"
     );
     // Interrupts field well inside the first doorbell's busy window
-    // (the engine is far faster than 64 µs here) — the second doorbell
-    // must still wait the window out.
-    let first_batch_busy_until = doorbell_times[0] + driver.doorbell_ns(8 * 16);
+    // (the engine is far faster than 11.6 µs here) — the second
+    // doorbell must still wait the window out.
+    let first_batch_busy_until =
+        doorbell_times[0] + driver.doorbell_ns(16 + 7 * driver.continuation_entries(16));
     assert!(
         doorbell_times[1] >= first_batch_busy_until - 1e-9,
         "doorbell 2 at {} ns rang inside doorbell 1's busy window (until {} ns): \

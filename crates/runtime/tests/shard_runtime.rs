@@ -42,8 +42,10 @@ fn hash_pin_gives_each_tenant_its_own_queue_pair() {
     assert_eq!(per_shard[0].descriptors, 6);
     assert_eq!(per_shard[1].descriptors, 8);
     assert_eq!(per_shard[2].descriptors, 4);
-    // ...and each shard announced exactly its own tenant's jobs.
-    assert_eq!(per_shard[0].interrupts_per_job, 2.0);
-    assert_eq!(per_shard[1].interrupts_per_job, 4.0);
-    assert_eq!(per_shard[2].interrupts_per_job, 4.0);
+    // ...and each shard announced exactly its own tenant's jobs, with
+    // one interrupt each: a job's chunks continue one another's sweep,
+    // so every chunk but the last retires chain-silently.
+    assert_eq!(per_shard[0].interrupts_per_job, 1.0);
+    assert_eq!(per_shard[1].interrupts_per_job, 1.0);
+    assert_eq!(per_shard[2].interrupts_per_job, 1.0);
 }
