@@ -1,27 +1,29 @@
 //! Criterion benchmark of PIM-MS schedule generation (Algorithm 1) —
 //! the hardware generates one (src, dst) pair per issue slot, so the
 //! software model must be well under the 312 ps engine cycle, and the
-//! coarse/fine ablation should cost the same per pair.
+//! coarse/fine ablation should cost the same per pair. Both sweeps are
+//! built the way the engine builds them: two-sided, against the HetMap.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use pim_mapping::{Organization, PhysAddr, PimAddrSpace};
+use pim_mapping::{HetMap, Organization, PhysAddr, PimAddrSpace};
 use pim_mmu::{DceMode, PairScheduler, PimMmuOp};
 
-fn op() -> (PimMmuOp, PimAddrSpace) {
+fn op() -> (PimMmuOp, PimAddrSpace, HetMap) {
     let pim = Organization::upmem_dimm(4, 2);
-    let space = PimAddrSpace::new(PhysAddr(32 << 30), pim);
+    let het = HetMap::pim_mmu(Organization::ddr4_dimm(4, 2), pim);
+    let space = PimAddrSpace::new(het.pim_base(), pim);
     let op = PimMmuOp::to_pim((0..512).map(|i| (PhysAddr(i as u64 * 65536), i)), 4096, 0);
-    (op, space)
+    (op, space, het)
 }
 
 fn bench_scheduler(c: &mut Criterion) {
-    let (op, space) = op();
+    let (op, space, het) = op();
     let pairs = op.total_bytes() / 64;
     let mut g = c.benchmark_group("pim_ms");
     g.throughput(Throughput::Elements(pairs));
     g.bench_function("algorithm1_full_sweep", |b| {
         b.iter(|| {
-            let mut s = PairScheduler::new(&op, &space, DceMode::PimMs);
+            let mut s = PairScheduler::two_sided(&op, &space, &het, DceMode::PimMs);
             let mut n = 0u64;
             while let Some(p) = s.next_pair() {
                 black_box(p);
@@ -32,7 +34,7 @@ fn bench_scheduler(c: &mut Criterion) {
     });
     g.bench_function("coarse_full_sweep", |b| {
         b.iter(|| {
-            let mut s = PairScheduler::new(&op, &space, DceMode::Coarse);
+            let mut s = PairScheduler::two_sided(&op, &space, &het, DceMode::Coarse);
             let mut n = 0u64;
             while let Some(p) = s.next_pair() {
                 black_box(p);

@@ -8,6 +8,9 @@
 //! unlocks it (avg 4.1x, max 6.9x). Energy: Base+D and Base+D+H cost
 //! *more* than Base; the full design wins because static energy
 //! integrates over a much shorter transfer.
+//!
+//! `--smoke` runs the 1 MB column only (both directions), the cell
+//! where the two-sided PIM-MS sweep matters most.
 
 use pim_bench::{cfg, geomean, row, HarnessArgs};
 use pim_mmu::XferKind;
@@ -15,7 +18,9 @@ use pim_sim::{run_batch, BatchPoint, DesignPoint, TransferResult, TransferSpec};
 
 fn main() {
     let args = HarnessArgs::parse();
-    let sizes_mb: &[u64] = if args.full {
+    let sizes_mb: &[u64] = if args.smoke {
+        &[1]
+    } else if args.full {
         &[1, 4, 16, 64, 256]
     } else {
         &[1, 4, 16]

@@ -117,8 +117,14 @@ pub struct DceStats {
     pub resumes: u64,
     /// Cycles spent quiescing the pipeline between a suspend request
     /// and the partial retirement (read issue stopped, in-flight lines
-    /// draining).
+    /// draining). Only real suspensions drain: a request that arrives
+    /// once the sweep is exhausted is refused and counted in
+    /// [`suspends_absorbed`](Self::suspends_absorbed).
     pub drain_cycles: u64,
+    /// Suspend requests refused because the active sweep was exhausted
+    /// — every line already read, so the job retires on its own and
+    /// absorbs the request.
+    pub suspends_absorbed: u64,
     /// Chunk descriptors that continued their predecessor's channel
     /// sweep (a [`Dce::enqueue`] naming a predecessor whose cursor was
     /// still held).
@@ -144,6 +150,7 @@ impl Counters for DceStats {
         out.push(prefix, "suspensions", self.suspensions as f64);
         out.push(prefix, "resumes", self.resumes as f64);
         out.push(prefix, "drain_cycles", self.drain_cycles as f64);
+        out.push(prefix, "suspends_absorbed", self.suspends_absorbed as f64);
         out.push(prefix, "continuations", self.continuations as f64);
         out.push(
             prefix,
@@ -490,7 +497,9 @@ impl Dce {
             } => {
                 let sched = predecessor
                     .and_then(|pred| self.claim_held_cursor(pred, &op, mode))
-                    .unwrap_or_else(|| PairScheduler::new(&op, &self.space, mode));
+                    .unwrap_or_else(|| {
+                        PairScheduler::two_sided(&op, &self.space, &self.mapper, mode)
+                    });
                 let total = sched.total_lines();
                 (op.kind, sched, 0, total)
             }
@@ -558,18 +567,23 @@ impl Dce {
     /// ([`DceCompletion::resumable`]) surfaces on the completion ring
     /// with the bytes moved so far, and the remainder becomes a
     /// [`SuspendedTransfer`] claimable via
-    /// [`take_suspended`](Self::take_suspended). A job that finishes
-    /// its last lines while draining completes normally instead — the
-    /// request is absorbed.
+    /// [`take_suspended`](Self::take_suspended).
     ///
     /// Returns `true` if a suspension was armed; `false` when the
     /// engine is idle, the active job is a one-shot
     /// [`submit`](Self::submit) (the synchronous path has no completion
     /// ring to carry the partial record), the job has already
-    /// completed, or a suspension is already pending.
+    /// completed, or a suspension is already pending. A job whose sweep
+    /// is exhausted has nothing left to suspend — its tail retires it
+    /// as soon as it lands — so the request is refused and counted in
+    /// [`DceStats::suspends_absorbed`].
     pub fn request_suspend(&mut self) -> bool {
         match &mut self.job {
             Some(j) if j.auto_retire && j.completed_at.is_none() && !j.suspend_requested => {
+                if j.sched.remaining() == 0 {
+                    self.stats.suspends_absorbed += 1;
+                    return false;
+                }
                 j.suspend_requested = true;
                 true
             }
@@ -1475,6 +1489,26 @@ mod tests {
             !dce.request_suspend(),
             "host-retired submissions have no completion ring for the partial record"
         );
+    }
+
+    #[test]
+    fn suspend_on_an_exhausted_sweep_is_refused_and_counted() {
+        let mut dce = setup();
+        let op = PimMmuOp::to_pim([(PhysAddr(0), 0)], 128, 0);
+        dce.enqueue(op, DceMode::PimMs, None).unwrap();
+        // One cycle issues both reads: the sweep is exhausted while the
+        // lines are still in flight.
+        dce.tick();
+        assert_eq!(dce.stats().reads_issued, 2);
+        assert!(!dce.request_suspend(), "nothing left to suspend");
+        assert!(!dce.suspending());
+        assert_eq!(dce.stats().suspends_absorbed, 1);
+        let recs = drive_until_records(&mut dce, 10, 1_000_000, 1, None);
+        assert_eq!(recs.len(), 1);
+        assert!(!recs[0].resumable, "the job retires in full");
+        assert_eq!(recs[0].bytes, 128);
+        assert_eq!(dce.stats().suspensions, 0);
+        assert_eq!(dce.stats().drain_cycles, 0, "no drain without a suspension");
     }
 
     #[test]

@@ -7,10 +7,38 @@
 //! the bank group as the innermost rotation (consecutive column commands
 //! then pay `tCCD_S`, not `tCCD_L`), ranks next, and banks outermost —
 //! maximizing channel/bank-group/bank-level parallelism on the PIM side.
+//!
+//! # The two-sided sweep
+//!
+//! The PIM-side order alone fights HetMap on the DRAM side. Per-core
+//! staging buffers are typically page-aligned and packed inside one
+//! DRAM row span, so line *k* of every core maps to the same DRAM
+//! channel (and bank group), and a sweep that emits line *k* of all
+//! cores before line *k + 1* queues every read of a round on one DRAM
+//! channel. Given the DRAM-side map
+//! ([`PairScheduler::two_sided`]), PIM-MS also orders each core's lines
+//! for the DRAM side:
+//!
+//! * each core's per-descriptor range splits into groups of `G` lines
+//!   aligned to the range start, `G` = the number of DRAM channels;
+//! * within a group wholly inside the range, the core emits offsets
+//!   `t XOR s` for `t = 0..G`, with `s` chosen so the group's first
+//!   emitted line maps to DRAM channel `slot mod G` — `slot` being the
+//!   core's emission index within a sweep round (its position in its
+//!   channel queue × the number of active queues + the queue index);
+//! * a partial group, or one where no `s` reaches the target (a map
+//!   whose channel bits are not the low line bits), keeps ascending
+//!   order.
+//!
+//! Under the MLP-centric map the `G` consecutive emissions of a round
+//! then land on `G` distinct DRAM channels. The swizzle never leaves a
+//! `G`-line group, so the PIM-side (channel, bank) visitation and PIM
+//! row locality are exactly those of the one-sided sweep, and Coarse
+//! mode ignores the DRAM map altogether.
 
 use crate::config::DceMode;
 use crate::op::{PimMmuOp, XferKind};
-use pim_mapping::{PhysAddr, PimAddrSpace, LINE_BYTES};
+use pim_mapping::{HetMap, PhysAddr, PimAddrSpace, LINE_BYTES};
 use std::collections::BTreeMap;
 
 /// One 64 B line transfer: read `src`, (transpose), write `dst`.
@@ -22,6 +50,36 @@ pub struct LinePair {
     pub dst: PhysAddr,
     /// The PIM channel this pair's PIM-side access targets.
     pub pim_channel: u32,
+}
+
+/// The DRAM-side map the two-sided sweep orders each core's lines
+/// against, with its group size `G` (the DRAM channel count).
+#[derive(Debug, Clone)]
+struct DramSide {
+    map: HetMap,
+    group: u64,
+}
+
+impl DramSide {
+    /// `Some` when the map's DRAM channel count is a power of two above
+    /// one — the only case where `t XOR s` permutes a `G`-line group.
+    fn new(map: &HetMap) -> Option<Box<Self>> {
+        let group = u64::from(map.dram_organization().channels);
+        (group > 1 && group.is_power_of_two()).then(|| {
+            Box::new(DramSide {
+                map: map.clone(),
+                group,
+            })
+        })
+    }
+
+    /// The XOR `s` for the group starting at DRAM address `first`: the
+    /// smallest `s` whose line maps to DRAM channel `target`, else 0.
+    fn swizzle(&self, first: PhysAddr, target: u64) -> u64 {
+        (0..self.group)
+            .find(|&s| u64::from(self.map.map(first.offset(s * LINE_BYTES)).addr.channel) == target)
+            .unwrap_or(0)
+    }
 }
 
 /// The per-core cursor: the address-buffer entry of Fig. 11 (base DRAM
@@ -36,24 +94,80 @@ struct CoreCursor {
     /// all cores in one logical queue, so the queue's channel field
     /// cannot stand in for it).
     channel: u32,
-    src_base: PhysAddr,
-    dst_base: PhysAddr,
+    /// DRAM-side base address of the core's range.
+    dram_base: PhysAddr,
+    /// PIM-side base address of the core's range.
+    pim_base: PhysAddr,
+    /// Direction: the DRAM side is the source.
+    to_pim: bool,
     bytes: u64,
     offset: u64,
+    /// The core's emission slot within a sweep round (position in its
+    /// channel queue × active queues + queue index).
+    slot: u64,
+    /// XOR applied to the line index inside the current group.
+    swizzle: u64,
 }
 
 impl CoreCursor {
-    fn next_pair(&mut self) -> Option<LinePair> {
+    /// A cursor for `core` (on PIM channel `channel`) over its range of
+    /// `op`, whose DRAM side starts at `dram_base`.
+    fn new(
+        core: u32,
+        channel: u32,
+        op: &PimMmuOp,
+        dram_base: PhysAddr,
+        space: &PimAddrSpace,
+    ) -> Self {
+        CoreCursor {
+            core,
+            channel,
+            dram_base,
+            pim_base: space.core_phys(core, op.heap_offset),
+            to_pim: matches!(op.kind, XferKind::DramToPim),
+            bytes: op.size_per_pim,
+            offset: 0,
+            slot: 0,
+            swizzle: 0,
+        }
+    }
+
+    /// Point the cursor at the start of its range of `op`, keeping its
+    /// place in the sweep.
+    fn rebind(&mut self, op: &PimMmuOp, dram_base: PhysAddr, space: &PimAddrSpace) {
+        *self = CoreCursor {
+            slot: self.slot,
+            ..CoreCursor::new(self.core, self.channel, op, dram_base, space)
+        };
+    }
+
+    fn next_pair(&mut self, dram: Option<&DramSide>) -> Option<LinePair> {
         if self.offset >= self.bytes {
             return None;
         }
-        let p = LinePair {
-            src: self.src_base.offset(self.offset),
-            dst: self.dst_base.offset(self.offset),
-            pim_channel: self.channel,
+        let line = self.offset / LINE_BYTES;
+        if let Some(d) = dram.filter(|d| line.is_multiple_of(d.group)) {
+            // Entering a group: swizzle it only if it lies wholly
+            // inside the range.
+            self.swizzle = if self.bytes / LINE_BYTES - line >= d.group {
+                d.swizzle(self.dram_base.offset(self.offset), self.slot % d.group)
+            } else {
+                0
+            };
+        }
+        let off = (line ^ self.swizzle) * LINE_BYTES;
+        let (dram, pim) = (self.dram_base.offset(off), self.pim_base.offset(off));
+        let (src, dst) = if self.to_pim {
+            (dram, pim)
+        } else {
+            (pim, dram)
         };
         self.offset += LINE_BYTES; // min_access_granularity
-        Some(p)
+        Some(LinePair {
+            src,
+            dst,
+            pim_channel: self.channel,
+        })
     }
 }
 
@@ -65,7 +179,7 @@ struct ChannelQueue {
 }
 
 impl ChannelQueue {
-    fn next(&mut self) -> Option<LinePair> {
+    fn next(&mut self, dram: Option<&DramSide>) -> Option<LinePair> {
         if self.remaining_lines == 0 {
             return None;
         }
@@ -73,7 +187,7 @@ impl ChannelQueue {
         for _ in 0..n {
             let i = self.rr;
             self.rr = (self.rr + 1) % n;
-            if let Some(p) = self.cores[i].next_pair() {
+            if let Some(p) = self.cores[i].next_pair(dram) {
                 self.remaining_lines -= 1;
                 return Some(p);
             }
@@ -89,18 +203,35 @@ impl ChannelQueue {
 pub struct PairScheduler {
     channels: Vec<ChannelQueue>,
     mode: DceMode,
+    /// The DRAM-side map of the two-sided sweep (PIM-MS only).
+    dram: Option<Box<DramSide>>,
     rr_channel: usize,
     total_lines: u64,
     yielded: u64,
 }
 
 impl PairScheduler {
-    /// Build the schedule for `op` against the PIM address space.
+    /// Build the schedule for `op` against the PIM address space alone:
+    /// with no DRAM-side map, no group can be aimed at a DRAM channel,
+    /// so every core emits its lines in ascending order. The engine
+    /// builds with [`two_sided`](Self::two_sided).
+    pub fn new(op: &PimMmuOp, space: &PimAddrSpace, mode: DceMode) -> Self {
+        Self::build(op, space, None, mode)
+    }
+
+    /// Build the two-sided schedule for `op`: the PIM-side visitation
+    /// of [`new`](Self::new), with each core's lines ordered for the
+    /// DRAM side through `dram` (see the module docs). Coarse mode
+    /// ignores the map.
     ///
     /// For DRAM→PIM ops the DRAM side is the source; for PIM→DRAM the
     /// PIM side is — either way the *PIM-side* ordering follows
     /// Algorithm 1 so both PIM reads and PIM writes reap the MLP.
-    pub fn new(op: &PimMmuOp, space: &PimAddrSpace, mode: DceMode) -> Self {
+    pub fn two_sided(op: &PimMmuOp, space: &PimAddrSpace, dram: &HetMap, mode: DceMode) -> Self {
+        Self::build(op, space, Some(dram), mode)
+    }
+
+    fn build(op: &PimMmuOp, space: &PimAddrSpace, dram: Option<&HetMap>, mode: DceMode) -> Self {
         let org = *space.organization();
         // (channel, bank, rank, bank_group) sort key: banks outermost,
         // bank groups innermost (Algorithm 1 lines 29-31).
@@ -109,25 +240,8 @@ impl PairScheduler {
             .iter()
             .map(|&(dram_addr, core)| {
                 let (ch, ra, bg, bk) = space.core_coords(core);
-                let pim_addr = space.core_phys(core, op.heap_offset);
-                let (src, dst) = match op.kind {
-                    XferKind::DramToPim => (dram_addr, pim_addr),
-                    XferKind::PimToDram => (pim_addr, dram_addr),
-                };
-                (
-                    ch,
-                    bk,
-                    ra,
-                    bg,
-                    CoreCursor {
-                        core,
-                        channel: ch,
-                        src_base: src,
-                        dst_base: dst,
-                        bytes: op.size_per_pim,
-                        offset: 0,
-                    },
-                )
+                let cur = CoreCursor::new(core, ch, op, dram_addr, space);
+                (ch, bk, ra, bg, cur)
             })
             .collect();
         match mode {
@@ -154,6 +268,14 @@ impl PairScheduler {
                         });
                     }
                 }
+                // A round emits position 0 of every active queue, then
+                // position 1, ...: the slot is the emission index.
+                let active = channels.len() as u64;
+                for (q, queue) in channels.iter_mut().enumerate() {
+                    for (i, cur) in queue.cores.iter_mut().enumerate() {
+                        cur.slot = i as u64 * active + q as u64;
+                    }
+                }
             }
             DceMode::Coarse => {
                 // One logical queue; cores processed one after another. We
@@ -176,6 +298,9 @@ impl PairScheduler {
         PairScheduler {
             channels,
             mode,
+            dram: dram
+                .filter(|_| mode == DceMode::PimMs)
+                .and_then(DramSide::new),
             rr_channel: 0,
             total_lines,
             yielded: 0,
@@ -254,16 +379,7 @@ impl PairScheduler {
         let lines_per_core = op.size_per_pim / LINE_BYTES;
         for q in &mut self.channels {
             for cur in &mut q.cores {
-                let dram_addr = by_core[&cur.core];
-                let pim_addr = space.core_phys(cur.core, op.heap_offset);
-                let (src, dst) = match op.kind {
-                    XferKind::DramToPim => (dram_addr, pim_addr),
-                    XferKind::PimToDram => (pim_addr, dram_addr),
-                };
-                cur.src_base = src;
-                cur.dst_base = dst;
-                cur.bytes = op.size_per_pim;
-                cur.offset = 0;
+                cur.rebind(op, by_core[&cur.core], space);
             }
             q.remaining_lines = q.cores.len() as u64 * lines_per_core;
         }
@@ -284,7 +400,7 @@ impl PairScheduler {
                 for _ in 0..n {
                     let i = self.rr_channel;
                     self.rr_channel = (self.rr_channel + 1) % n;
-                    if let Some(p) = self.channels[i].next() {
+                    if let Some(p) = self.channels[i].next(self.dram.as_deref()) {
                         self.yielded += 1;
                         return Some(p);
                     }
@@ -297,7 +413,7 @@ impl PairScheduler {
                 let ncores = q.cores.len();
                 for _ in 0..ncores {
                     let i = q.rr;
-                    if let Some(p) = q.cores[i].next_pair() {
+                    if let Some(p) = q.cores[i].next_pair(None) {
                         q.remaining_lines -= 1;
                         self.yielded += 1;
                         return Some(p);
@@ -319,6 +435,62 @@ mod tests {
 
     fn space() -> PimAddrSpace {
         PimAddrSpace::new(PhysAddr(32 << 30), Organization::upmem_dimm(4, 2))
+    }
+
+    /// The Table-I HetMap, whose PIM partition starts where [`space`]
+    /// does.
+    fn het() -> HetMap {
+        HetMap::pim_mmu(
+            Organization::ddr4_dimm(4, 2),
+            Organization::upmem_dimm(4, 2),
+        )
+    }
+
+    /// DRAM channels of the Table-I map: the two-sided group size.
+    const G: u64 = 4;
+
+    /// The engine's schedule: two-sided against [`het`].
+    fn two_sided(o: &PimMmuOp, mode: DceMode) -> PairScheduler {
+        PairScheduler::two_sided(o, &space(), &het(), mode)
+    }
+
+    fn drain(mut sched: PairScheduler) -> Vec<LinePair> {
+        std::iter::from_fn(|| sched.next_pair()).collect()
+    }
+
+    /// The DRAM-side address of a pair.
+    fn dram_side(p: &LinePair, kind: XferKind) -> PhysAddr {
+        match kind {
+            XferKind::DramToPim => p.src,
+            XferKind::PimToDram => p.dst,
+        }
+    }
+
+    /// The PIM-side address of a pair.
+    fn pim_side(p: &LinePair, kind: XferKind) -> PhysAddr {
+        match kind {
+            XferKind::DramToPim => p.dst,
+            XferKind::PimToDram => p.src,
+        }
+    }
+
+    /// `n` cores on each of the first `channels` PIM channels, each
+    /// with its own page-aligned 4 KiB staging buffer packed from the
+    /// start of DRAM row span `row` (1 MiB under the MLP map).
+    fn page_aligned_op(
+        kind: XferKind,
+        row: u64,
+        channels: u32,
+        n: u32,
+        lines_per_core: u64,
+    ) -> PimMmuOp {
+        let s = space();
+        let cores = (0..channels).flat_map(|ch| (0..n).map(move |i| (ch, i)));
+        let entries = cores.enumerate().map(|(idx, (ch, i))| {
+            let core = s.core_id(ch, i % 2, (i / 2) % 4, i / 8);
+            (PhysAddr((row << 20) + idx as u64 * 4096), core)
+        });
+        PimMmuOp::try_new(kind, entries, lines_per_core * 64, 0).unwrap()
     }
 
     fn op(cores: Vec<u32>, size: u64) -> PimMmuOp {
@@ -442,7 +614,7 @@ mod tests {
     #[test]
     fn continuation_rejects_a_different_core_set() {
         let s = space();
-        let mut sched = PairScheduler::new(&op(vec![0, 1, 2], 128), &s, DceMode::PimMs);
+        let mut sched = two_sided(&op(vec![0, 1, 2], 128), DceMode::PimMs);
         while sched.next_pair().is_some() {}
         // Disjoint core set (a chunk from another group): refused, and
         // the schedule is left exhausted rather than half-rebound.
@@ -460,6 +632,31 @@ mod tests {
         assert_eq!(n, 6);
     }
 
+    #[test]
+    fn one_sided_rounds_serialise_on_one_dram_channel() {
+        // 256 cores over all four PIM channels, their page-aligned
+        // 4 KiB buffers filling one DRAM row span. One-sided, every
+        // read of a round queues on one DRAM channel; two-sided, each
+        // round spreads over all four.
+        let o = page_aligned_op(XferKind::DramToPim, 1, 4, 64, 64);
+        let m = het();
+        let channels_per_round = |sched: PairScheduler| -> HashSet<usize> {
+            drain(sched)
+                .chunks(256)
+                .map(|r| {
+                    r.iter()
+                        .map(|p| m.map(p.src).addr.channel)
+                        .collect::<HashSet<u32>>()
+                        .len()
+                })
+                .collect()
+        };
+        let one = channels_per_round(PairScheduler::new(&o, &space(), DceMode::PimMs));
+        let two = channels_per_round(two_sided(&o, DceMode::PimMs));
+        assert_eq!(one, HashSet::from([1]));
+        assert_eq!(two, HashSet::from([4]));
+    }
+
     /// `n` distinct PIM cores chosen pseudo-randomly from `seed` (odd
     /// stride modulo the 512-core space, so all picks are distinct).
     fn distinct_cores(seed: u64, n: usize) -> Vec<u32> {
@@ -474,14 +671,14 @@ mod tests {
         fn emission_is_a_permutation_of_the_ops_lines(
             seed in 0u64..1000,
             n_cores in 1usize..64,
-            lines_per_core in 1u64..5,
+            lines_per_core in 1u64..13,
             mode in prop_oneof![Just(DceMode::PimMs), Just(DceMode::Coarse)],
         ) {
             let s = space();
             let cores = distinct_cores(seed, n_cores);
             let size = lines_per_core * 64;
             let o = op(cores.clone(), size);
-            let mut sched = PairScheduler::new(&o, &s, mode);
+            let mut sched = two_sided(&o, mode);
             let mut emitted: Vec<(u64, u64)> = Vec::new();
             while let Some(p) = sched.next_pair() {
                 emitted.push((p.src.0, p.dst.0));
@@ -508,7 +705,7 @@ mod tests {
             let s = space();
             let cores = distinct_cores(seed, n_cores);
             let o = op(cores.clone(), lines_per_core * 64);
-            let mut sched = PairScheduler::new(&o, &s, DceMode::PimMs);
+            let mut sched = two_sided(&o, DceMode::PimMs);
             // Per channel, Algorithm 1 sweeps the channel's cores in
             // (bank, rank, bank-group)-sorted order, one line per core
             // per round: the visitation sequence is exactly that order
@@ -541,16 +738,15 @@ mod tests {
         fn continuation_preserves_the_unchunked_per_channel_order(
             seed in 0u64..500,
             n_cores in 2usize..48,
-            lines_per_core in 2u64..8,
-            chunk_lines in 1u64..5,
+            lines_per_core in 2u64..13,
+            chunk_lines in 1u64..9,
         ) {
             let s = space();
             let cores = distinct_cores(seed, n_cores);
             let o = op(cores, lines_per_core * 64);
             // Unchunked reference sweep.
-            let mut reference = PairScheduler::new(&o, &s, DceMode::PimMs);
             let mut want: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
-            while let Some(p) = reference.next_pair() {
+            for p in drain(two_sided(&o, DceMode::PimMs)) {
                 want.entry(p.pim_channel).or_default().push((p.src.0, p.dst.0));
             }
             // Chunked sweep, each chunk continuing the predecessor's
@@ -568,7 +764,7 @@ mod tests {
                 };
                 prop_assert!(sched.is_none() || continued, "same-group chunk refused");
                 if !continued {
-                    sched = Some(PairScheduler::new(c, &s, DceMode::PimMs));
+                    sched = Some(two_sided(c, DceMode::PimMs));
                 }
                 let sch = sched.as_mut().unwrap();
                 while let Some(p) = sch.next_pair() {
@@ -576,11 +772,110 @@ mod tests {
                     total += 64;
                 }
             }
-            // Byte conservation across arbitrary chunk boundaries, and
-            // the per-channel visitation order is *identical* to the
-            // unchunked sweep — the continuation truly continues.
             prop_assert_eq!(total, o.total_bytes());
-            prop_assert_eq!(got, want);
+            if chunk_lines % G == 0 || chunks.len() == 1 {
+                // Chunk boundaries fall on group boundaries: the
+                // continuation truly continues, address for address.
+                prop_assert_eq!(got, want);
+            } else {
+                // A chunk boundary splits a group, so the swizzle
+                // differs; the per-channel core sequence does not, and
+                // every line still moves exactly once.
+                let cores_of = |m: &BTreeMap<u32, Vec<(u64, u64)>>| -> BTreeMap<u32, Vec<u32>> {
+                    m.iter()
+                        .map(|(&ch, v)| (ch, v.iter().map(|&(_, d)| s.locate(PhysAddr(d)).0).collect()))
+                        .collect()
+                };
+                prop_assert_eq!(cores_of(&got), cores_of(&want));
+                let lines = |m: &BTreeMap<u32, Vec<(u64, u64)>>| -> Vec<(u64, u64)> {
+                    let mut v: Vec<(u64, u64)> = m.values().flatten().copied().collect();
+                    v.sort_unstable();
+                    v
+                };
+                let got_lines = lines(&got);
+                prop_assert!(got_lines.windows(2).all(|w| w[0] != w[1]), "a line moved twice");
+                prop_assert_eq!(got_lines, lines(&want));
+            }
+        }
+
+        #[test]
+        fn two_sided_rounds_cover_every_dram_channel(
+            row in 1u64..1024,
+            channels in 1u32..5,
+            n in 1u32..33,
+            groups in 1u64..17,
+            to_pim in any::<bool>(),
+        ) {
+            // Page-aligned per-core buffers inside one DRAM row span:
+            // every core's line k sits on one DRAM channel, and the
+            // swizzle must spread each round over all of them.
+            let kind = if to_pim { XferKind::DramToPim } else { XferKind::PimToDram };
+            let o = page_aligned_op(kind, row, channels, n, groups * G);
+            let m = het();
+            let round = (channels * n) as usize;
+            let window = round.min(usize::try_from(G).unwrap());
+            let emitted = drain(two_sided(&o, DceMode::PimMs));
+            for r in emitted.chunks(round) {
+                let chans: Vec<u32> = r
+                    .iter()
+                    .map(|p| m.map(dram_side(p, kind)).addr.channel)
+                    .collect();
+                for w in chans.windows(window) {
+                    let distinct: HashSet<u32> = w.iter().copied().collect();
+                    prop_assert_eq!(distinct.len(), window, "round channels {:?}", chans);
+                }
+            }
+        }
+
+        #[test]
+        fn swizzle_keeps_the_pim_side_sequence(
+            seed in 0u64..500,
+            n_cores in 1usize..64,
+            lines_per_core in 1u64..13,
+            dram_line in 0u64..4096,
+            to_pim in any::<bool>(),
+        ) {
+            // Arbitrary (not page-aligned) DRAM buffers, both directions.
+            let kind = if to_pim { XferKind::DramToPim } else { XferKind::PimToDram };
+            let size = lines_per_core * 64;
+            let cores = distinct_cores(seed, n_cores);
+            let o = PimMmuOp::try_new(
+                kind,
+                cores.iter().enumerate().map(|(i, &c)| (PhysAddr((dram_line + i as u64 * lines_per_core) * 64), c)),
+                size,
+                0,
+            )
+            .unwrap();
+            let s = space();
+            let one_sided = drain(PairScheduler::new(&o, &s, DceMode::PimMs));
+            let swizzled = drain(two_sided(&o, DceMode::PimMs));
+            prop_assert_eq!(one_sided.len(), swizzled.len());
+            for (a, b) in one_sided.iter().zip(&swizzled) {
+                let (pa, pb) = (pim_side(a, kind), pim_side(b, kind));
+                let ((core_a, off_a), (core_b, off_b)) = (s.locate(pa), s.locate(pb));
+                let (ch, _, _, bk) = s.core_coords(core_a);
+                // Same PIM core, hence the same (channel, bank) ...
+                prop_assert_eq!(core_a, core_b);
+                prop_assert_eq!(a.pim_channel, b.pim_channel);
+                prop_assert_eq!((ch, bk), (s.core_coords(core_b).0, s.core_coords(core_b).3));
+                // ... and the same G-line group of its range, hence the
+                // same PIM row.
+                prop_assert_eq!(off_a / (G * 64), off_b / (G * 64));
+            }
+        }
+
+        #[test]
+        fn coarse_emission_ignores_the_dram_map(
+            seed in 0u64..500,
+            n_cores in 1usize..64,
+            lines_per_core in 1u64..13,
+        ) {
+            let cores = distinct_cores(seed, n_cores);
+            let o = op(cores, lines_per_core * 64);
+            prop_assert_eq!(
+                drain(two_sided(&o, DceMode::Coarse)),
+                drain(PairScheduler::new(&o, &space(), DceMode::Coarse))
+            );
         }
 
         #[test]
@@ -595,7 +890,7 @@ mod tests {
             dedup.sort_unstable();
             dedup.dedup();
             let o = op(dedup.clone(), lines_per_core * 64);
-            let mut sched = PairScheduler::new(&o, &s, mode);
+            let mut sched = two_sided(&o, mode);
             prop_assert_eq!(sched.total_lines(), dedup.len() as u64 * lines_per_core);
             let mut seen: HashSet<(u64, u64)> = HashSet::new();
             while let Some(p) = sched.next_pair() {
