@@ -3,13 +3,14 @@
 //!
 //! The seeded 2-tenant Poisson mix below (seed 7, FCFS, 64 KiB chunks,
 //! 60 µs horizon on the Table-I Base+D+H+P machine) is the scenario
-//! whose job records were captured from the PR 2 synchronous runtime
-//! and have been pinned to the `f64` bit ever since — first by the
-//! depth-1 queue-pair refactor (PR 3), then the single-shard sharded
-//! dispatch (PR 4), now `Preemption::Off` (PR 5). Each layer's identity
-//! point must reproduce these exact bits; any drift in timestamp
-//! arithmetic, edge ordering or driver gating fails the anchor before
-//! it can silently re-baseline the serving numbers.
+//! whose job records were captured from the synchronous runtime and are
+//! pinned to the `f64` bit by every identity layer since: the depth-1
+//! queue pair, the single-shard sharded dispatch, `Preemption::Off` and
+//! telemetry on or off. Each layer's identity point must reproduce
+//! these exact bits; any drift in timestamp arithmetic, edge ordering
+//! or driver gating fails the anchor before it can silently re-baseline
+//! the serving numbers. The table itself changes only when the modeled
+//! machine does (see [`PR4_GOLDEN`]).
 //!
 //! Scenario construction, the golden table and the assertion used to
 //! be copy-pasted between `tests/hostq_regression.rs` and
@@ -23,14 +24,17 @@ use pim_sim::{DesignPoint, SystemConfig};
 pub const GOLDEN_HORIZON_NS: f64 = 60_000.0;
 
 /// `(id, tenant, submit, dispatch, complete, bytes)` with timestamps as
-/// `f64::to_bits`, captured from the PR 2 synchronous runtime.
+/// `f64::to_bits`. Re-captured when PIM-MS became two-sided: these jobs
+/// move 8 or 16 lines per core, whole groups of the DRAM-side swizzle,
+/// so their dispatch and completion times moved; submit times, bytes
+/// and the fairness index did not.
 pub const PR4_GOLDEN: [(u64, usize, u64, u64, u64, u64); 9] = [
     (
         0,
         1,
         4638435053409786461,
         4638452529493966848,
-        4663863614302870044,
+        4663870132207799501,
         32768,
     ),
     (
@@ -38,63 +42,63 @@ pub const PR4_GOLDEN: [(u64, usize, u64, u64, u64, u64); 9] = [
         0,
         4662768889582079505,
         4662768985056477184,
-        4669157847178128916,
+        4669155617368547787,
         65536,
     ),
     (
         2,
         1,
         4665764508129905159,
-        4668197205243330560,
-        4670966221374035591,
+        4668194971860336640,
+        4670966648396864028,
         32768,
     ),
     (
         3,
         0,
         4666590976988042528,
-        4670484773544656896,
-        4673063330621931127,
+        4670485203041386496,
+        4673060586928102965,
         65536,
     ),
     (
         4,
         0,
         4667959424128605430,
-        4672583208666136576,
-        4674941671072040223,
+        4672580459887067136,
+        4674937895349110440,
         65536,
     ),
     (
         5,
         0,
         4671203484735604151,
-        4674666783200772096,
-        4675981743101218652,
+        4674659224058331136,
+        4675977277434742440,
         65536,
     ),
     (
         6,
         1,
         4671403999308218130,
-        4675741667486072832,
-        4676621347157037810,
+        4675737200720084992,
+        4676616537343422104,
         32768,
     ),
     (
         7,
         1,
         4671861256163513855,
-        4676380629770698752,
-        4677256235751082820,
+        4676375819407327232,
+        4677252197244873998,
         32768,
     ),
     (
         8,
         0,
         4672053818819178346,
-        4677015511836393472,
-        4678304790375030587,
+        4677011474567135232,
+        4678299295153353916,
         65536,
     ),
 ];
