@@ -198,6 +198,12 @@ fn run_cell(chunk_kib: u64, preemption: Preemption, policy: &str, args: &Args) -
                 "drain_cycles_per_suspension",
                 Json::num(drain_per_suspension),
             ),
+            // Kicks that found the sweep exhausted: the chunk retires on
+            // its own, so the engine refuses them.
+            (
+                "suspends_absorbed",
+                Json::int(engine.stats().suspends_absorbed),
+            ),
             ("bulk_serviced_gbps", Json::num(bulk_serviced as f64 / span)),
             ("goodput_gbps", Json::num(total_serviced as f64 / span)),
             ("backlog_at_horizon", Json::int(rt.backlog() as u64)),
