@@ -53,7 +53,9 @@ pub struct LinePair {
 }
 
 /// The DRAM-side map the two-sided sweep orders each core's lines
-/// against, with its group size `G` (the DRAM channel count).
+/// against, with its group size `G`: the DRAM channel count, a power of
+/// two like every [`Organization`](pim_mapping::Organization)
+/// dimension, so `t XOR s` permutes a `G`-line group.
 #[derive(Debug, Clone)]
 struct DramSide {
     map: HetMap,
@@ -61,15 +63,10 @@ struct DramSide {
 }
 
 impl DramSide {
-    /// `Some` when the map's DRAM channel count is a power of two above
-    /// one — the only case where `t XOR s` permutes a `G`-line group.
-    fn new(map: &HetMap) -> Option<Box<Self>> {
-        let group = u64::from(map.dram_organization().channels);
-        (group > 1 && group.is_power_of_two()).then(|| {
-            Box::new(DramSide {
-                map: map.clone(),
-                group,
-            })
+    fn new(map: &HetMap) -> Box<Self> {
+        Box::new(DramSide {
+            map: map.clone(),
+            group: u64::from(map.dram_organization().channels),
         })
     }
 
@@ -298,9 +295,7 @@ impl PairScheduler {
         PairScheduler {
             channels,
             mode,
-            dram: dram
-                .filter(|_| mode == DceMode::PimMs)
-                .and_then(DramSide::new),
+            dram: dram.filter(|_| mode == DceMode::PimMs).map(DramSide::new),
             rr_channel: 0,
             total_lines,
             yielded: 0,
@@ -346,17 +341,19 @@ impl PairScheduler {
 
     /// Rebind an exhausted (or mid-flight) schedule onto the *next*
     /// chunk of the same job, preserving the sweep state — per-channel
-    /// round-robin positions and the channel cursor — instead of
-    /// rebuilding from scratch. This is the serving-aware PIM-MS
-    /// continuation: successive chunks of one op then emit the exact
-    /// per-channel visitation order the unchunked op would have.
+    /// round-robin positions, the channel cursor, each core's slot and
+    /// the DRAM-side map — instead of rebuilding from scratch. This is
+    /// the serving-aware PIM-MS continuation: successive chunks of one
+    /// op then emit the exact per-channel visitation order the
+    /// unchunked op would have (and the same addresses whenever chunk
+    /// boundaries fall on swizzle-group boundaries).
     ///
     /// Succeeds only when `op` addresses exactly the core set this
     /// schedule was built over (the shape [`PimMmuOp::chunks`] produces
     /// for chunks of one group). On success every cursor's byte range is
     /// advanced to `op`'s entries and the line accounting resets for the
     /// new chunk; on mismatch the schedule is left untouched and the
-    /// caller must fall back to [`PairScheduler::new`]. Returns whether
+    /// caller must build a fresh one. Returns whether
     /// the continuation was taken.
     pub fn continue_into(&mut self, op: &PimMmuOp, space: &PimAddrSpace) -> bool {
         let mut by_core: BTreeMap<u32, PhysAddr> = BTreeMap::new();
@@ -782,9 +779,8 @@ mod tests {
                 // differs; the per-channel core sequence does not, and
                 // every line still moves exactly once.
                 let cores_of = |m: &BTreeMap<u32, Vec<(u64, u64)>>| -> BTreeMap<u32, Vec<u32>> {
-                    m.iter()
-                        .map(|(&ch, v)| (ch, v.iter().map(|&(_, d)| s.locate(PhysAddr(d)).0).collect()))
-                        .collect()
+                    let core = |&(_, dst): &(u64, u64)| s.locate(PhysAddr(dst)).0;
+                    m.iter().map(|(&ch, v)| (ch, v.iter().map(core).collect())).collect()
                 };
                 prop_assert_eq!(cores_of(&got), cores_of(&want));
                 let lines = |m: &BTreeMap<u32, Vec<(u64, u64)>>| -> Vec<(u64, u64)> {
@@ -839,13 +835,10 @@ mod tests {
             let kind = if to_pim { XferKind::DramToPim } else { XferKind::PimToDram };
             let size = lines_per_core * 64;
             let cores = distinct_cores(seed, n_cores);
-            let o = PimMmuOp::try_new(
-                kind,
-                cores.iter().enumerate().map(|(i, &c)| (PhysAddr((dram_line + i as u64 * lines_per_core) * 64), c)),
-                size,
-                0,
-            )
-            .unwrap();
+            let entries = cores.iter().enumerate().map(|(i, &c)| {
+                (PhysAddr((dram_line + i as u64 * lines_per_core) * 64), c)
+            });
+            let o = PimMmuOp::try_new(kind, entries, size, 0).unwrap();
             let s = space();
             let one_sided = drain(PairScheduler::new(&o, &s, DceMode::PimMs));
             let swizzled = drain(two_sided(&o, DceMode::PimMs));
@@ -853,11 +846,9 @@ mod tests {
             for (a, b) in one_sided.iter().zip(&swizzled) {
                 let (pa, pb) = (pim_side(a, kind), pim_side(b, kind));
                 let ((core_a, off_a), (core_b, off_b)) = (s.locate(pa), s.locate(pb));
-                let (ch, _, _, bk) = s.core_coords(core_a);
                 // Same PIM core, hence the same (channel, bank) ...
                 prop_assert_eq!(core_a, core_b);
                 prop_assert_eq!(a.pim_channel, b.pim_channel);
-                prop_assert_eq!((ch, bk), (s.core_coords(core_b).0, s.core_coords(core_b).3));
                 // ... and the same G-line group of its range, hence the
                 // same PIM row.
                 prop_assert_eq!(off_a / (G * 64), off_b / (G * 64));
