@@ -1,6 +1,7 @@
 //! The abstract's headline numbers, asserted as bands at test scale
 //! (recorded paper-vs-measured values live in EXPERIMENTS.md).
 
+use pim_mapping::MemSpace;
 use pim_mmu::{PimMmuOp, XferKind};
 use pim_sim::{run_memcpy, run_transfer, DesignPoint, System, SystemConfig, TransferSpec};
 
@@ -50,11 +51,6 @@ fn one_mb_transfer_speedup_band() {
     );
 }
 
-fn mean(v: impl ExactSizeIterator<Item = f64>) -> f64 {
-    let n = v.len() as f64;
-    v.sum::<f64>() / n
-}
-
 #[test]
 fn two_sided_sweep_keeps_both_buses_busy() {
     // The 2 MiB DRAM→PIM leg of the paper's measurement, on the bare
@@ -69,14 +65,10 @@ fn two_sided_sweep_keeps_both_buses_busy() {
         .expect("DCE design")
         .completed_at()
         .is_some()));
-    let dram = || sys.dram_controllers().iter().map(|c| c.stats());
-    let dram_bus = mean(dram().map(|s| s.bus_utilization()));
-    let dram_hits = mean(dram().map(|s| s.row_hit_rate()));
-    let pim_bus = mean(
-        sys.pim_controllers()
-            .iter()
-            .map(|c| c.stats().bus_utilization()),
-    );
+    let dram_bus = sys.bus_utilization(MemSpace::Dram);
+    let pim_bus = sys.bus_utilization(MemSpace::Pim);
+    let dram = sys.dram_controllers();
+    let dram_hits = dram.iter().map(|c| c.stats().row_hit_rate()).sum::<f64>() / dram.len() as f64;
     // One-sided, both buses sat at 0.37: every read of a round queued
     // on one DRAM channel behind tCCD_L.
     assert!(dram_bus >= 0.55, "DRAM bus utilisation {dram_bus:.3}");
