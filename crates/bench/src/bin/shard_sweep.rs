@@ -16,7 +16,10 @@
 //! ring at 64 KiB chunks (the async path's sweet spot from
 //! `BENCH_hostq.json`), so a single engine is driver/MMIO-bound and
 //! sharding multiplies independent driver contexts until the shared
-//! memory system caps out (~45 GB/s here, visible at N = 8).
+//! memory system caps out (~45 GB/s here, visible at N = 8). Each cell
+//! also records the modeled layers its goodput moves with: DRAM and PIM
+//! row-hit rate and bus utilisation, and the share of busy engine
+//! cycles with two or more descriptor lanes running.
 //!
 //! The skew study keeps the same machine at N = 4 and makes tenants 0
 //! and 4 offer 8x the byte rate of the six light tenants. Both heavy
@@ -27,6 +30,8 @@
 //! measure under unequal demand.
 
 use pim_bench::json::{write_json, Json};
+use pim_dram::MemController;
+use pim_mapping::MemSpace;
 use pim_runtime::{
     policy_by_name, HostQueueConfig, Placement, Runtime, RuntimeConfig, ServingSystem, TenantSpec,
     POLICY_NAMES,
@@ -137,6 +142,22 @@ fn run_cell(shards: usize, placement: Placement, policy: &str, skewed: bool, arg
     let (jain_raw, jain_sat) = (rt.jain_by_bytes(), rt.jain_by_satisfaction());
     let policy_name = rt.policy_name();
     let host = rt.host_stats();
+    // The modeled layers a cell's goodput moves with: each memory
+    // side's row-hit rate and bus utilisation (means over its
+    // channels), and the share of busy engine cycles with two or more
+    // lanes running side by side.
+    let sys = serving.system();
+    let row_hit = |ctrls: &[MemController]| {
+        ctrls.iter().map(|c| c.stats().row_hit_rate()).sum::<f64>() / ctrls.len().max(1) as f64
+    };
+    let (lane_cycles, busy_cycles) = sys.engines().iter().fold((0, 0), |(l, b), e| {
+        (l + e.stats().lane_cycles, b + e.stats().busy_cycles)
+    });
+    let lane_frac = if busy_cycles == 0 {
+        0.0
+    } else {
+        lane_cycles as f64 / busy_cycles as f64
+    };
 
     let mut fields = vec![
         ("shards", Json::int(shards as u64)),
@@ -151,6 +172,23 @@ fn run_cell(shards: usize, placement: Placement, policy: &str, skewed: bool, arg
         ("doorbells", Json::int(host.doorbells)),
         ("interrupts", Json::int(host.interrupts)),
         ("backlog_at_horizon", Json::int(rt.backlog() as u64)),
+        (
+            "dram_row_hit_rate",
+            Json::num(row_hit(sys.dram_controllers())),
+        ),
+        (
+            "pim_row_hit_rate",
+            Json::num(row_hit(sys.pim_controllers())),
+        ),
+        (
+            "dram_bus_util",
+            Json::num(sys.bus_utilization(MemSpace::Dram)),
+        ),
+        (
+            "pim_bus_util",
+            Json::num(sys.bus_utilization(MemSpace::Pim)),
+        ),
+        ("lane_frac", Json::num(lane_frac)),
     ];
     if skewed {
         // Per-tenant detail so the stranded-bandwidth story is visible.

@@ -339,6 +339,20 @@ impl PairScheduler {
         }
     }
 
+    /// The PIM channels this schedule's cores live on, ascending and
+    /// distinct: the channels a descriptor occupies while the engine
+    /// runs it (in either mode).
+    pub fn pim_channels(&self) -> Vec<u32> {
+        let mut chs: Vec<u32> = self
+            .channels
+            .iter()
+            .flat_map(|q| q.cores.iter().map(|c| c.channel))
+            .collect();
+        chs.sort_unstable();
+        chs.dedup();
+        chs
+    }
+
     /// Rebind an exhausted (or mid-flight) schedule onto the *next*
     /// chunk of the same job, preserving the sweep state — per-channel
     /// round-robin positions, the channel cursor, each core's slot and
@@ -523,6 +537,20 @@ mod tests {
             .map(|_| sched.next_pair().unwrap().pim_channel)
             .collect();
         assert_eq!(chans, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn pim_channels_lists_each_occupied_channel_once_in_both_modes() {
+        let s = space();
+        let cores = vec![
+            s.core_id(3, 0, 0, 0),
+            s.core_id(1, 1, 2, 5),
+            s.core_id(3, 1, 0, 0),
+        ];
+        for mode in [DceMode::PimMs, DceMode::Coarse] {
+            let sched = PairScheduler::new(&op(cores.clone(), 128), &s, mode);
+            assert_eq!(sched.pim_channels(), vec![1, 3], "{mode:?}");
+        }
     }
 
     #[test]

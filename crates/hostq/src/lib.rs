@@ -26,7 +26,8 @@
 //!
 //! The device side lives in `pim-mmu`: [`Dce::enqueue`] gives the
 //! engine its own pending-descriptor queue so it transitions directly
-//! from one chunk to the next, surfacing retirements as
+//! from one chunk to the next (and runs descriptors on disjoint PIM
+//! channels side by side), surfacing retirements in ring order as
 //! [`DceCompletion`] records for the ring poller. `pim-runtime`'s
 //! dispatch loop posts chunks through the queue pair, and
 //! `pim_sim::components` adapts the pair as a `Tickable` ring-poller

@@ -61,7 +61,8 @@ impl Descriptor {
 pub struct Posted {
     /// The descriptor as written.
     pub desc: Descriptor,
-    /// Ring sequence number (post order; the device retires FIFO).
+    /// Ring sequence number (post order; the device may execute
+    /// descriptors out of order but retires them in this order).
     pub seq: u64,
     /// Time the doorbell published it, ns.
     pub posted_ns: f64,
@@ -353,9 +354,11 @@ impl QueuePair {
     /// # Panics
     ///
     /// Panics if nothing is in flight or `seq` is not the oldest posted
-    /// descriptor — the engine is a FIFO, so out-of-order retirement is
-    /// a modeling bug. Also panics if `bytes_moved` exceeds the posted
-    /// descriptor's bytes, or if a full retirement moved fewer.
+    /// descriptor — the engine may run descriptors on disjoint PIM
+    /// channels side by side, but it retires them in ring order, so
+    /// out-of-order retirement is a modeling bug. Also panics if
+    /// `bytes_moved` exceeds the posted descriptor's bytes, or if a
+    /// full retirement moved fewer.
     pub fn on_device_completion(
         &mut self,
         seq: u64,
@@ -411,19 +414,20 @@ impl QueuePair {
         self.next_seq
     }
 
-    /// The oldest posted-and-unretired descriptor — the one the engine
-    /// is executing (or about to). A preemption layer reads its tag to
+    /// The oldest posted-and-unretired descriptor — one the engine is
+    /// executing (or about to). A preemption layer reads its tag to
     /// decide whether the in-service work should be kicked.
     pub fn oldest_in_flight(&self) -> Option<&Posted> {
         self.sq.front()
     }
 
     /// The posted-and-unretired descriptors *behind* the oldest, in
-    /// ring order: work already accepted device-side that the engine
-    /// will only reach after the active descriptor. A deep-ring
-    /// preemption layer treats an urgent descriptor stuck here like a
-    /// waiting queue head — the engine is a FIFO, so only kicking the
-    /// active descriptor lets it through.
+    /// ring order: work already accepted device-side. The engine runs
+    /// one behind the oldest only once the descriptors ahead of it on
+    /// its PIM channels have retired. A deep-ring preemption layer
+    /// treats an urgent descriptor stuck here like a waiting queue head
+    /// — when it shares the oldest descriptor's channels, only kicking
+    /// that descriptor lets it through.
     pub fn posted_behind_oldest(&self) -> impl Iterator<Item = &Posted> {
         self.sq.iter().skip(1)
     }

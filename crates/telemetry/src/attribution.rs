@@ -44,7 +44,10 @@ pub enum Stage {
     /// (doorbell → device-start): driver ring residency.
     Ring = 2,
     /// The engine is actively moving the job's bytes
-    /// (device-start → retire/suspend).
+    /// (device-start → retire/suspend). This includes the wait of a
+    /// descriptor that finished on its lane while an older one was
+    /// still running: the engine retires in ring order, so the record
+    /// sits in its reorder stage until then.
     DeviceService = 3,
     /// A preempted remainder is parked waiting to be re-dispatched
     /// (recall interrupt → resume pick).
