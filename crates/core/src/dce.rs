@@ -222,8 +222,6 @@ struct Lane {
     sched: PairScheduler,
     /// PIM channels the lane occupies (ascending, distinct).
     channels: Vec<u32>,
-    /// Address-buffer entries the lane holds.
-    entries: usize,
     /// Lines read but not yet written back: in flight to memory, in
     /// the transpose queue, awaiting write issue or write completion.
     in_pipeline: u64,
@@ -625,7 +623,7 @@ impl Dce {
         {
             return;
         }
-        let mut used: usize = self.lanes.iter().map(|l| l.entries).sum();
+        let mut used: usize = self.lanes.iter().map(|l| l.sched.core_count()).sum();
         let mut taken: Vec<u32> = self
             .lanes
             .iter()
@@ -662,7 +660,6 @@ impl Dce {
     /// transfer, from the held cursor of the predecessor a continuation
     /// names, or from a fresh [`PairScheduler`].
     fn install(&mut self, w: Waiting, auto_retire: bool) {
-        let entries = w.desc.entries();
         let (kind, sched, lines_written, total) = match w.desc {
             PendingDesc::Resumed(st) => {
                 self.stats.resumes += 1;
@@ -688,7 +685,6 @@ impl Dce {
             kind,
             sched,
             channels: w.channels,
-            entries,
             in_pipeline: 0,
             lines_written,
             total,
@@ -2009,12 +2005,28 @@ mod tests {
             "seq 1 waits, and so does seq 3"
         );
         assert_eq!(dce.occupancy(), 4);
-        let recs = drive_until_records(&mut dce, 20, 1_000_000, 4, None);
-        assert_in_order(&recs);
+        let t = drive(&mut dce, 20, 1_000_000, 4, None);
+        let recs = &t.recs;
+        assert_in_order(recs);
         assert_eq!(dce.stats().continuations, 1);
         assert_eq!(dce.stats().continuation_fallbacks, 0);
+        // Fused, not merely continued from a held cursor: seq 3 started
+        // while seq 2's last lines were still landing.
+        let space = dce.space;
+        let seq2_landed = t
+            .landed
+            .iter()
+            .filter(|&&(_, a)| {
+                chunks[0].entries.iter().any(|&(_, core)| {
+                    let base = space.core_phys(core, chunks[0].heap_offset).0;
+                    (base..base + chunks[0].size_per_pim).contains(&a)
+                })
+            })
+            .map(|&(c, _)| c)
+            .max()
+            .expect("seq 2 landed");
         assert!(
-            recs[3].started_at <= recs[2].completed_at,
+            recs[3].started_at < seq2_landed,
             "the continuation fused mid-flight"
         );
         assert_eq!(recs[2].bytes + recs[3].bytes, op.total_bytes());
