@@ -12,8 +12,10 @@
 /// for fewer interrupts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostQueueConfig {
-    /// Submission-ring depth: max descriptors posted and not yet drained
-    /// from the completion ring (≥ 1).
+    /// Submission-ring depth: max descriptors staged, in flight, or
+    /// completed and not yet collected by the host (≥ 1). A chain-silent
+    /// completion is collected at the next poll edge; any other holds
+    /// its slot until its interrupt is fielded.
     pub depth: usize,
     /// Interrupt after this many ring completions (≥ 1; 1 disables
     /// coalescing — every completion interrupts immediately).

@@ -140,7 +140,7 @@ pub struct HostQueueStats {
     pub recalled: u64,
     /// Completions that never woke the host: the chained successor was
     /// already posted, so the device handed the sweep cursor over and
-    /// the completion rode the chain tail's interrupt.
+    /// the ring poller collected the completion without an interrupt.
     pub chain_silent: u64,
     /// Largest device-side in-flight depth observed at a doorbell.
     pub max_in_flight: usize,
@@ -216,10 +216,19 @@ impl HostQueueStats {
 /// with one MMIO write, [`on_device_completion`](Self::on_device_completion)
 /// moves it to the completion ring when the engine retires it, and
 /// [`field_interrupt`](Self::field_interrupt) hands the host the whole
-/// completed batch once the [`InterruptCoalescer`] fires. The slot is
-/// free again only after its completion is fielded — so `depth` bounds
-/// posted-plus-uncollected descriptors, which is what makes depth 1
-/// exactly the synchronous one-in-flight handshake.
+/// completed batch once the [`InterruptCoalescer`] fires.
+///
+/// Slot reclaim follows what the host must see. A completion that needs
+/// the host — a chain tail, a recall, anything that armed the
+/// coalescer — holds its slot until its interrupt is fielded. A
+/// chain-silent completion needs no wake-up: the device reports it
+/// through its retire head (like a NIC's TX-head write-back), so the
+/// ring poller frees that slot at the next poll edge
+/// ([`reap_chained`](Self::reap_chained)) wherever it sits in the
+/// completion ring, without consuming the armed entries ahead of it.
+/// `depth` therefore bounds staged + in-flight + host-pending
+/// descriptors, which is what makes depth 1 exactly the synchronous
+/// one-in-flight handshake.
 #[derive(Debug)]
 pub struct QueuePair {
     cfg: HostQueueConfig,
@@ -437,22 +446,33 @@ impl QueuePair {
         self.coalescer.due(now_ns)
     }
 
-    /// Reap the chain-silent prefix of the completion ring without an
-    /// interrupt: a completion that handed its sweep cursor to a posted
-    /// successor raised no wake-up, so the ring poller collects it (and
-    /// frees its slot) at the next poll edge for free. Stops at the
-    /// first completion that armed the coalescer, so interrupt batches
-    /// stay in retirement order behind it. Returns an empty vector on
+    /// Reap every chain-silent completion in the completion ring
+    /// without an interrupt, in retirement order: a completion that
+    /// handed its sweep cursor to a posted successor raised no wake-up,
+    /// so the ring poller collects it (and frees its slot) at the next
+    /// poll edge, even behind a completion still waiting on its
+    /// interrupt. The armed completions keep their slots and their
+    /// order until [`field_interrupt`](Self::field_interrupt). A
+    /// chain-silent completion is never a job's last chunk (its
+    /// successor is posted), so reaping it early finishes no job ahead
+    /// of the interrupt that announces it. Returns an empty vector on
     /// the ordinary (no-continuation) path.
     pub fn reap_chained(&mut self) -> Vec<RingCompletion> {
-        let n = self.cq.iter().take_while(|c| c.chained).count();
-        self.cq.drain(..n).collect()
+        let mut reaped = Vec::new();
+        self.cq.retain(|c| {
+            if c.chained {
+                reaped.push(*c);
+            }
+            !c.chained
+        });
+        reaped
     }
 
     /// Field the pending interrupt: drain the completion ring (freeing
     /// its slots) and return the completed batch in retirement order.
     /// The batch may hold more entries than the coalescer announced —
-    /// chain-silent completions ride along without having armed it.
+    /// chain-silent completions not yet reaped ride along without
+    /// having armed it.
     ///
     /// # Panics
     ///
@@ -557,6 +577,43 @@ mod tests {
         let batch = qp.field_interrupt(9.375);
         assert_eq!(batch.len(), 2, "one silent rider plus the tail");
         assert!(!batch[1].chained);
+        assert_eq!(qp.free_slots(), 3);
+    }
+
+    #[test]
+    fn silent_completions_behind_an_armed_one_free_their_slots_first() {
+        let mut qp = QueuePair::new(HostQueueConfig {
+            coalesce_count: 4,
+            coalesce_timeout_ns: 4_000.0,
+            ..HostQueueConfig::with_depth(4)
+        });
+        // Job A's last chunk (seq 0), then job B's chain: seq 1 → seq 2.
+        qp.stage(desc(64), 0.0, 0).unwrap();
+        qp.stage(desc(64), 0.0, 0).unwrap();
+        qp.stage(desc(64).continuation_of(1), 0.0, 0).unwrap();
+        qp.ring_doorbell(&DriverModel::default());
+        // Seq 0 is a chain tail: it arms the coalescer's timer.
+        qp.on_device_completion(0, 0, 10, 3.125, 64, false);
+        // Seq 1 hands its cursor to posted seq 2: silent, retired behind
+        // the armed completion.
+        qp.on_device_completion(1, 11, 20, 6.25, 64, false);
+        assert_eq!(qp.free_slots(), 1);
+        let reaped = qp.reap_chained();
+        assert_eq!(
+            reaped.iter().map(|c| c.posted.seq).collect::<Vec<_>>(),
+            [1],
+            "the silent completion is reaped past the armed one"
+        );
+        assert_eq!(qp.free_slots(), 2, "only the silent slot frees");
+        assert_eq!(qp.stats().interrupts, 0);
+        // The armed completion keeps its slot until its interrupt.
+        assert!(qp.reap_chained().is_empty());
+        assert!(!qp.interrupt_due(6.25), "timer still running");
+        assert_eq!(qp.free_slots(), 2);
+        assert!(qp.interrupt_due(4_003.125));
+        let batch = qp.field_interrupt(4_003.125);
+        assert_eq!(batch.iter().map(|c| c.posted.seq).collect::<Vec<_>>(), [0]);
+        assert!(!batch[0].chained);
         assert_eq!(qp.free_slots(), 3);
     }
 

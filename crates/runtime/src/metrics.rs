@@ -73,14 +73,22 @@ pub struct HostIfaceStats {
     /// Completion interrupts per completed *chunk* (1.0 without
     /// coalescing).
     pub interrupts_per_chunk: f64,
+    /// Simulated time the host driver spent busy, ns: the exact window
+    /// each doorbell (a continuation-only batch at
+    /// `DriverModel::continuation_doorbell_ns`) and each fielded
+    /// interrupt kept it from ringing, counted once where they overlap.
+    /// Summed over shards in aggregate, so it never exceeds the span
+    /// times the shard count.
+    pub driver_busy_ns: f64,
 }
 
 impl HostIfaceStats {
     /// Derive the summary from ring counters plus the number of jobs
-    /// whose completion those rings announced. Used both per shard (one
-    /// ring, jobs finished via that shard's interrupts) and in
-    /// aggregate (merged counters, all completed jobs).
-    pub fn from_ring(s: &HostQueueStats, jobs: u64) -> Self {
+    /// whose completion those rings announced and the drivers' busy
+    /// time. Used both per shard (one ring, jobs finished via that
+    /// shard's interrupts) and in aggregate (merged counters, all
+    /// completed jobs, busy time summed over shards).
+    pub fn from_ring(s: &HostQueueStats, jobs: u64, driver_busy_ns: f64) -> Self {
         HostIfaceStats {
             doorbells: s.doorbells,
             descriptors: s.posted,
@@ -95,6 +103,7 @@ impl HostIfaceStats {
                 s.interrupts as f64 / jobs as f64
             },
             interrupts_per_chunk: s.interrupts_per_completion(),
+            driver_busy_ns,
         }
     }
 }
@@ -110,6 +119,7 @@ impl Counters for HostIfaceStats {
         out.push(prefix, "mean_in_flight", self.mean_in_flight);
         out.push(prefix, "interrupts_per_job", self.interrupts_per_job);
         out.push(prefix, "interrupts_per_chunk", self.interrupts_per_chunk);
+        out.push(prefix, "driver_busy_ns", self.driver_busy_ns);
     }
 }
 
@@ -225,14 +235,17 @@ mod tests {
             inflight_sum: 8,
             polls: 100,
         };
-        let h = HostIfaceStats::from_ring(&s, 5);
+        let h = HostIfaceStats::from_ring(&s, 5, 0.0);
         assert_eq!(h.doorbells, 4);
         assert_eq!(h.descriptors, 10);
         assert_eq!(h.recalls, 1);
         assert_eq!(h.interrupts_per_job, 1.0);
         assert_eq!(h.interrupts_per_chunk, 0.5);
         assert_eq!(h.mean_in_flight, 2.0);
-        assert_eq!(HostIfaceStats::from_ring(&s, 0).interrupts_per_job, 0.0);
+        assert_eq!(
+            HostIfaceStats::from_ring(&s, 0, 0.0).interrupts_per_job,
+            0.0
+        );
     }
 
     #[test]

@@ -43,6 +43,12 @@ pub trait QueuePolicy: Send {
     /// Policy name (CLI/report label).
     fn name(&self) -> &'static str;
 
+    /// A new instance with this policy's parameters and none of its
+    /// scheduling state. Under hash-pin placement each shard schedules
+    /// its pinned tenants with its own instance, so one shard's picks
+    /// never move another shard's round-robin position.
+    fn fresh(&self) -> Box<dyn QueuePolicy>;
+
     /// The tenant whose head job receives the next chunk, or `None` when
     /// every queue is empty. Must return a tenant with a non-empty queue
     /// whenever one exists (work conservation).
@@ -82,6 +88,10 @@ impl QueuePolicy for Fcfs {
         "fcfs"
     }
 
+    fn fresh(&self) -> Box<dyn QueuePolicy> {
+        Box::new(Fcfs)
+    }
+
     fn pick(&mut self, queues: &[QueueView]) -> Option<usize> {
         queues
             .iter()
@@ -100,6 +110,10 @@ pub struct Sjf;
 impl QueuePolicy for Sjf {
     fn name(&self) -> &'static str {
         "sjf"
+    }
+
+    fn fresh(&self) -> Box<dyn QueuePolicy> {
+        Box::new(Sjf)
     }
 
     fn pick(&mut self, queues: &[QueueView]) -> Option<usize> {
@@ -167,6 +181,10 @@ impl Drr {
 impl QueuePolicy for Drr {
     fn name(&self) -> &'static str {
         "drr"
+    }
+
+    fn fresh(&self) -> Box<dyn QueuePolicy> {
+        Box::new(Drr::new(self.quantum))
     }
 
     fn pick(&mut self, queues: &[QueueView]) -> Option<usize> {
@@ -238,6 +256,10 @@ pub struct StrictPriority;
 impl QueuePolicy for StrictPriority {
     fn name(&self) -> &'static str {
         "prio"
+    }
+
+    fn fresh(&self) -> Box<dyn QueuePolicy> {
+        Box::new(StrictPriority)
     }
 
     fn pick(&mut self, queues: &[QueueView]) -> Option<usize> {

@@ -284,7 +284,10 @@ struct TenantState {
 /// The multi-tenant transfer-queue runtime.
 pub struct Runtime {
     cfg: RuntimeConfig,
-    policy: Box<dyn QueuePolicy>,
+    /// The scheduling policy: one instance per shard under hash-pin
+    /// (each shard schedules only its pinned tenants, with its own
+    /// round-robin state), a single instance under least-loaded.
+    policies: Vec<Box<dyn QueuePolicy>>,
     tenants: Vec<TenantState>,
     shapes: Vec<JobShape>,
     suite_max: u64,
@@ -302,6 +305,10 @@ pub struct Runtime {
     /// MMIO write or interrupt). Shards' drivers are independent — their
     /// costs overlap, which is what makes the host path scale with N.
     driver_ready_ns: Vec<f64>,
+    /// Per-shard driver busy time: the union of the windows doorbells
+    /// and interrupts occupy (`occupy_driver`), so it never exceeds the
+    /// simulated time.
+    driver_busy_ns: Vec<f64>,
     /// Jobs whose completion was announced by shard `s`'s interrupt
     /// (the final chunk retired there).
     completed_via_shard: Vec<u64>,
@@ -383,10 +390,18 @@ impl Runtime {
                 }
             })
             .collect();
+        let n_policies = match cfg.placement {
+            Placement::HashPin => cfg.shards,
+            Placement::LeastLoaded => 1,
+        };
+        let mut policies = vec![policy];
+        while policies.len() < n_policies {
+            policies.push(policies[0].fresh());
+        }
         Runtime {
             period_ticks: Clock::from_period_ps(cfg.period_ps).period,
             cfg,
-            policy,
+            policies,
             tenants,
             shapes,
             suite_max,
@@ -394,6 +409,7 @@ impl Runtime {
             arrivals_scratch: Vec::new(),
             qps: QueuePairSet::new(cfg.hostq, cfg.shards),
             driver_ready_ns: vec![0.0; cfg.shards],
+            driver_busy_ns: vec![0.0; cfg.shards],
             completed_via_shard: vec![0; cfg.shards],
             suspended: BTreeMap::new(),
             next_job_id: 0,
@@ -419,7 +435,7 @@ impl Runtime {
 
     /// The scheduling policy's name.
     pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
+        self.policies[0].name()
     }
 
     /// Current decision-clock time in nanoseconds.
@@ -643,7 +659,8 @@ impl Runtime {
     /// job/chunk.
     pub fn host_stats(&self) -> HostIfaceStats {
         let jobs: u64 = self.tenants.iter().map(|t| t.stats.completed).sum();
-        HostIfaceStats::from_ring(&self.qps.aggregate_stats(), jobs)
+        let busy_ns = self.driver_busy_ns.iter().sum();
+        HostIfaceStats::from_ring(&self.qps.aggregate_stats(), jobs, busy_ns)
     }
 
     /// Per-shard host-interface summaries, in shard order; each shard's
@@ -654,7 +671,8 @@ impl Runtime {
             .shard_stats()
             .iter()
             .zip(&self.completed_via_shard)
-            .map(|(s, &jobs)| HostIfaceStats::from_ring(s, jobs))
+            .zip(&self.driver_busy_ns)
+            .map(|((s, &jobs), &busy_ns)| HostIfaceStats::from_ring(s, jobs, busy_ns))
             .collect()
     }
 
@@ -750,9 +768,11 @@ impl Runtime {
     /// The completion-ring poller for one shard, called at every edge
     /// of the `hostq` clock domain (before the engines' own ticks):
     /// drain shard `shard`'s engine retirement records into that
-    /// shard's queue pair, and once its interrupt coalescer fires,
-    /// field *one* interrupt for the whole completed batch — routing
-    /// each completion to its owning tenant.
+    /// shard's queue pair, reap every chain-silent completion among
+    /// them (its slot frees at this edge with no interrupt, even behind
+    /// an armed completion), and once its interrupt coalescer fires,
+    /// field *one* interrupt for the rest of the completed batch —
+    /// routing each completion to its owning tenant.
     ///
     /// Driver-latency accounting (the basis of the bit-identical
     /// depth-1 equivalence with the one-shot harness, pinned by
@@ -802,9 +822,11 @@ impl Runtime {
 
         // Chain-silent completions first: a chunk that handed its sweep
         // cursor to a posted successor raised no interrupt, so the ring
-        // poller reaps it here for free — its slot opens without the
-        // driver going busy, which is what keeps a deep ring of chained
-        // small chunks fed at engine rate.
+        // poller reaps it here for free, wherever it sits behind armed
+        // completions still waiting on their interrupt. Its slot opens
+        // without the driver going busy, which is what keeps a deep
+        // ring of chained small chunks fed at engine rate while a chain
+        // tail waits out the coalescing timer.
         let period_ps = dce.config().period_ps();
         for c in self.qps.shard_mut(shard).reap_chained() {
             self.settle_completion(shard, period_ps, c, now_ns, now_ns);
@@ -822,8 +844,11 @@ impl Runtime {
         // must never hand the driver back early (a deep-ring bug the
         // delta test in `tests/driver_accounting.rs` pins).
         let batch = qp.field_interrupt(now_ns);
-        self.driver_ready_ns[shard] =
-            self.driver_ready_ns[shard].max(now_ns + self.cfg.driver.coalesced_interrupt_ns());
+        self.occupy_driver(
+            shard,
+            now_ns,
+            now_ns + self.cfg.driver.coalesced_interrupt_ns(),
+        );
         self.recorder
             .record(SpanEvent::new(SpanKind::Interrupt, now_ns).shard(shard));
         let announce_ns = now_ns + self.cfg.driver.coalesced_interrupt_ns();
@@ -908,7 +933,7 @@ impl Runtime {
             );
             // Refund the undelivered credit (DRR stays byte-exact
             // across kicks); the resume re-charges it at dispatch.
-            self.policy
+            self.policy_mut(shard)
                 .recalled(tenant_idx, c.posted.desc.bytes - bytes);
             return;
         }
@@ -1118,7 +1143,7 @@ impl Runtime {
                         }
                         let views = self.views(None);
                         if let Some((s, victim)) = candidates.into_iter().max_by_key(|&(s, v)| {
-                            (self.policy.urgency(&views[v]), std::cmp::Reverse(s))
+                            (self.policies[0].urgency(&views[v]), std::cmp::Reverse(s))
                         }) {
                             self.kick_if_outranked(
                                 s,
@@ -1166,12 +1191,13 @@ impl Runtime {
         consider_queued: bool,
         now_ns: f64,
     ) {
-        let active_urgency = self.policy.urgency(&views[victim]);
+        let policy = &self.policies[self.policy_index(s)];
+        let active_urgency = policy.urgency(&views[victim]);
         let queued_waiter = views
             .iter()
             .filter(|_| consider_queued)
             .filter(|v| v.tenant != victim && v.head.is_some())
-            .map(|v| self.policy.urgency(v))
+            .map(|v| policy.urgency(v))
             .min();
         let ring_waiter = self
             .qps
@@ -1179,7 +1205,7 @@ impl Runtime {
             .posted_behind_oldest()
             .map(|p| p.desc.tag.tenant)
             .filter(|&t| t != victim)
-            .map(|t| self.policy.urgency(&views[t]))
+            .map(|t| policy.urgency(&views[t]))
             .min();
         let waiter = match (queued_waiter, ring_waiter) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -1215,7 +1241,7 @@ impl Runtime {
             if !views.iter().any(|v| v.head.is_some()) {
                 break;
             }
-            let Some(pick) = self.policy.pick(&views) else {
+            let Some(pick) = self.policies[shard].pick(&views) else {
                 self.missed_dispatches += 1;
                 break;
             };
@@ -1238,7 +1264,7 @@ impl Runtime {
             if !views.iter().any(|v| v.head.is_some()) {
                 break;
             }
-            let Some(pick) = self.policy.pick(&views) else {
+            let Some(pick) = self.policies[0].pick(&views) else {
                 self.missed_dispatches += 1;
                 break;
             };
@@ -1362,8 +1388,30 @@ impl Runtime {
                 });
             }
         }
-        self.policy.dispatched(pick, bytes);
+        self.policy_mut(shard).dispatched(pick, bytes);
         self.chunks_dispatched += 1;
+    }
+
+    /// Occupy shard `shard`'s driver until `until_ns` (never handing
+    /// it back early), counting into its busy time only the part of
+    /// `[now_ns, until_ns]` it was not already busy.
+    fn occupy_driver(&mut self, shard: usize, now_ns: f64, until_ns: f64) {
+        let ready = self.driver_ready_ns[shard];
+        self.driver_busy_ns[shard] += (until_ns - ready.max(now_ns)).max(0.0);
+        self.driver_ready_ns[shard] = ready.max(until_ns);
+    }
+
+    /// Which policy instance schedules shard `shard`'s work.
+    fn policy_index(&self, shard: usize) -> usize {
+        match self.cfg.placement {
+            Placement::HashPin => shard,
+            Placement::LeastLoaded => 0,
+        }
+    }
+
+    fn policy_mut(&mut self, shard: usize) -> &mut dyn QueuePolicy {
+        let i = self.policy_index(shard);
+        self.policies[i].as_mut()
     }
 
     /// Publish `shard`'s staged batch with one MMIO doorbell write,
@@ -1374,7 +1422,8 @@ impl Runtime {
             .shard_mut(shard)
             .ring_doorbell(&self.cfg.driver)
             .expect("descriptors were staged");
-        self.driver_ready_ns[shard] = now_ns + cost;
+        debug_assert!(now_ns >= self.driver_ready_ns[shard], "the driver was idle");
+        self.occupy_driver(shard, now_ns, now_ns + cost);
         self.recorder
             .record(SpanEvent::new(SpanKind::Doorbell, now_ns).shard(shard));
     }
